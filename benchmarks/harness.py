@@ -53,11 +53,10 @@ def bench_sweep(
         return out
 
     results = benchmark.pedantic(go, rounds=1, iterations=1)
-    disk = runner.disk_cache
     record = (
         f"{label}: {timing['elapsed']:.2f}s wall, points={len(results)}, "
         f"sims_run={runner.sims_run}, jobs={jobs or runner.jobs}, "
-        f"disk_hits={disk.hits if disk else 0}"
+        f"disk_hits={runner.disk_hits}, rehydrations={runner.rehydrations}"
     )
     if runner.fleet_stats:
         record += (

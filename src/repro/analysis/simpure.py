@@ -116,12 +116,6 @@ DECLARED_ENV_INPUTS: Dict[str, str] = {
                       "fingerprint-neutral (sanitized runs are bit-identical)",
     "REPRO_CACHE_DIR": "names the cache directory; never influences what a "
                        "simulation computes, only where results are stored",
-    "REPRO_FLEET": "toggles the persistent worker fleet vs a per-call pool; "
-                   "both execution paths produce bit-identical fingerprints",
-    "REPRO_CHUNK": "overrides pool map chunksize; scheduling-only — results "
-                   "are merged back in submission order regardless",
-    "REPRO_STREAM_CACHE": "caps the per-worker workload LRU; cache hits are "
-                          "bit-identical to regeneration (seeded streams)",
 }
 
 #: Path fragments that mark a module as simulator core (see module

@@ -1069,8 +1069,8 @@ def run_shard(
 
 
 #: Default (app, design-label) grid for ``repro shard --confirm``: four
-#: distinct points so the pool path engages even at the default
-#: ``REPRO_PAR_MIN_POINTS`` threshold, spanning camping, replication-
+#: distinct points so the pool path engages even at ``run_many``'s default
+#: ``par_min_points`` threshold, spanning camping, replication-
 #: heavy, cache-friendly and bandwidth-bound behaviour.
 DEFAULT_CONFIRM_GRID: Tuple[Tuple[str, str], ...] = (
     ("P-2MM", "Pr40"),
@@ -1281,9 +1281,7 @@ def confirm_shard(
             not problems, "; ".join(problems),
         ))
 
-    from repro.sim.fleet import fleet_env_enabled
-
-    if contexts and fleet_env_enabled():
+    if contexts:
         # The context-identity sweeps above already spun the fleet up;
         # a fresh Runner over the same grid must reuse it warm.
         ctx_name = contexts[0]

@@ -13,13 +13,12 @@ Experiments request ``runner.run(app_name, spec, ...)`` one point at a
 time, or pre-submit a whole (application x design) grid with
 :meth:`Runner.run_many`, which fans cache misses out over a process pool
 (``jobs``/``REPRO_JOBS``) and returns results in submission order.  The
-pool is normally acquired from the persistent
+pool is acquired from the persistent
 :class:`~repro.sim.fleet.WorkerFleet` (warm across calls and experiment
-modules; ``REPRO_FLEET=0`` or ``Runner(fleet=False)`` falls back to a
-per-call pool), misses are dispatched largest-estimated-work-first with
-an adaptive chunksize, and — when a disk cache is active — workers
-persist their own results and ship only slim ``(key, fingerprint,
-counters)`` payloads back.  All paths are bit-deterministic: a parallel,
+modules), misses are dispatched largest-estimated-work-first with an
+adaptive chunksize, and — when a disk cache is active — workers persist
+their own results and ship only slim ``(key, fingerprint, counters)``
+payloads back.  All paths are bit-deterministic: a parallel,
 fleet-warm, slim-transported or cache-served result has the same
 :meth:`~repro.sim.results.SimResult.fingerprint` as a serial cold run.
 
@@ -37,7 +36,6 @@ import dataclasses
 import multiprocessing
 import os
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
@@ -49,8 +47,6 @@ from repro.sim.fleet import (
     SLIM_TAG,
     _fleet_run,
     adaptive_chunksize,
-    chunksize_from_env,
-    fleet_env_enabled,
     get_fleet,
     order_by_estimated_work,
 )
@@ -124,34 +120,6 @@ def env_jobs(default: int = 1) -> int:
     return max(1, jobs)
 
 
-def env_par_min_points(default: int = 4) -> int:
-    """Minimum cache-miss count before :meth:`Runner.run_many` fans out
-    over a process pool, from ``REPRO_PAR_MIN_POINTS``.
-
-    Pool startup (interpreter forks/spawns, module imports, payload
-    pickling) costs real wall clock; on small grids a serial loop wins
-    — the ROADMAP's 24-point measurement had parallel-cold *slower* than
-    serial-cold.  Below the threshold ``run_many`` runs its misses
-    serially and records that path in :attr:`Runner.sweep_paths`.
-    Malformed values warn and fall back, mirroring :func:`env_jobs`;
-    values below 1 are clamped to 1 (1 = always parallel when jobs > 1).
-    """
-    raw = os.environ.get("REPRO_PAR_MIN_POINTS")
-    if raw is None:
-        return default
-    try:
-        value = int(raw)
-    except ValueError:
-        warnings.warn(
-            f"ignoring malformed REPRO_PAR_MIN_POINTS={raw!r} (not an "
-            f"int); using {default}",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return default
-    return max(1, value)
-
-
 def _fmt_value(v: object) -> str:
     """``{:.3f}`` when the value supports it, ``str`` otherwise."""
     try:
@@ -189,12 +157,6 @@ class ExperimentReport:
         return "\n".join(parts)
 
 
-def _simulate_point(point: Tuple[AppProfile, DesignSpec, SimConfig]) -> SimResult:
-    """Process-pool worker: one pure simulation from its frozen inputs."""
-    profile, spec, cfg = point
-    return simulate(profile, spec, cfg)
-
-
 class Runner:
     """Memoizing simulation runner shared across experiments.
 
@@ -209,11 +171,6 @@ class Runner:
         Persistent result cache: a :class:`DiskResultCache`, a directory
         path, ``None`` to consult ``REPRO_CACHE_DIR`` (off when unset),
         or ``False`` to disable the disk layer regardless of environment.
-    fleet:
-        Pool acquisition for :meth:`run_many` misses: ``None`` consults
-        ``REPRO_FLEET`` (fleet on unless set to ``0``), ``True`` forces
-        the persistent :class:`~repro.sim.fleet.WorkerFleet`, ``False``
-        forces the legacy per-call ``ProcessPoolExecutor``.
     """
 
     def __init__(
@@ -221,11 +178,9 @@ class Runner:
         config: Optional[SimConfig] = None,
         jobs: Optional[int] = None,
         cache: Union[DiskResultCache, str, None, bool] = None,
-        fleet: Optional[bool] = None,
     ):
         self.config = config or SimConfig(scale=env_scale())
         self.jobs = env_jobs() if jobs is None else max(1, int(jobs))
-        self.fleet = fleet
         if cache is None:
             self.disk_cache: Optional[DiskResultCache] = cache_from_env()
         elif cache is False:
@@ -236,6 +191,12 @@ class Runner:
             self.disk_cache = DiskResultCache(cache)
         self._cache: Dict[tuple, SimResult] = {}
         self.sims_run = 0
+        # Disk-layer accounting: points the disk cache served to a lookup
+        # (``disk_hits``) and slim-transport read-backs of results a
+        # worker just computed and persisted (``rehydrations``).  A
+        # read-back is a transport step of a fresh simulation, not a hit.
+        self.disk_hits = 0
+        self.rehydrations = 0
         # Aggregate simulator observability (fresh runs only — cache hits
         # cost no simulator time): total wall seconds spent inside
         # GPUSystem.run and total events drained there.  Parallel sweeps
@@ -299,6 +260,7 @@ class Runner:
         if result is None:
             result = self._disk_get(point)
             if result is not None:
+                self.disk_hits += 1
                 self._cache[point] = result
         return result
 
@@ -338,7 +300,7 @@ class Runner:
         point = (profile, spec, cfg)
         result = self._lookup(point)
         if result is None:
-            result = _simulate_point(point)
+            result = simulate(*point)
             self._store_miss(point, result)
         return result
 
@@ -373,7 +335,7 @@ class Runner:
         points: Iterable[SweepPoint],
         jobs: Optional[int] = None,
         mp_context: Union[str, multiprocessing.context.BaseContext, None] = None,
-        par_min_points: Optional[int] = None,
+        par_min_points: int = 4,
     ) -> List[SimResult]:
         """Run a whole sweep grid; results in submission order.
 
@@ -383,16 +345,13 @@ class Runner:
         submitted (duplicate points are allowed here — they collapse to
         one simulation).  Points not served by a cache layer fan out
         over a process pool when the effective ``jobs`` exceeds 1 *and*
-        the miss count reaches ``par_min_points`` (default
-        ``REPRO_PAR_MIN_POINTS``, 4 — pool startup dominates on smaller
-        grids, so those run serially; :attr:`sweep_paths` records which
-        path ran).  The pool is acquired from the persistent
-        :class:`~repro.sim.fleet.WorkerFleet` unless the fleet is opted
-        out (``REPRO_FLEET=0`` / ``fleet=False``), misses are dispatched
-        largest-estimated-work-first with an adaptive (or
-        ``REPRO_CHUNK``-pinned) chunksize, and with a disk cache active
-        the workers use slim result transport (see
-        :mod:`repro.sim.fleet`).  ``mp_context`` selects the pool start
+        the miss count reaches ``par_min_points`` (pool startup dominates
+        on smaller grids, so those run serially; :attr:`sweep_paths`
+        records which path ran).  The pool is acquired from the persistent
+        :class:`~repro.sim.fleet.WorkerFleet`, misses are dispatched
+        largest-estimated-work-first with an adaptive chunksize, and
+        with a disk cache active the workers use slim result transport
+        (see :mod:`repro.sim.fleet`).  ``mp_context`` selects the pool start
         method (``"fork"``/``"spawn"`` name or a multiprocessing
         context; default: the platform default).  Ordering, fingerprints
         and ``sims_run`` accounting are identical across every path,
@@ -415,11 +374,7 @@ class Runner:
         misses = list(pending)
         if misses:
             width = self.jobs if jobs is None else max(1, int(jobs))
-            floor = (
-                env_par_min_points() if par_min_points is None
-                else max(1, int(par_min_points))
-            )
-            if width > 1 and len(misses) >= max(2, floor):
+            if width > 1 and len(misses) >= max(2, par_min_points):
                 path, fresh = self._pool_misses(
                     misses, width, mp_context, key_of
                 )
@@ -429,7 +384,7 @@ class Runner:
                     if width > 1 and len(misses) > 1
                     else "serial"
                 )
-                fresh = [(p, _simulate_point(p), True) for p in misses]
+                fresh = [(p, simulate(*p), True) for p in misses]
             self.sweep_paths[path] = self.sweep_paths.get(path, 0) + 1
             for point, result, persist in fresh:
                 self._store_miss(point, result, persist=persist)
@@ -451,61 +406,41 @@ class Runner:
 
         Misses are dispatched largest-estimated-work-first so one heavy
         point cannot land at the end of the schedule and stretch the
-        straggler tail; the chunksize comes from ``REPRO_CHUNK`` or
-        :func:`~repro.sim.fleet.adaptive_chunksize` (the old hard-coded
-        ``chunksize=1`` paid one IPC round trip per point on both the
-        fleet and the legacy path).
+        straggler tail; the chunksize comes from
+        :func:`~repro.sim.fleet.adaptive_chunksize`.
         """
         ctx = (
             multiprocessing.get_context(mp_context)
             if isinstance(mp_context, str) else mp_context
         )
         ordered = order_by_estimated_work(misses)
-        chunk = chunksize_from_env()
-        if chunk is None:
-            chunk = adaptive_chunksize(len(ordered), width)
-        use_fleet = (
-            fleet_env_enabled() if self.fleet is None else bool(self.fleet)
-        )
-        if use_fleet:
-            method = (
-                ctx.get_start_method() if ctx is not None
-                else multiprocessing.get_start_method()
-            )
-            fleet = get_fleet()
-            before = fleet.stats()
-            pool = fleet.acquire(width, mp_context=ctx)
-            self._note_fleet(before, fleet.stats())
-            root = (
-                str(self.disk_cache.root)
-                if self.disk_cache is not None else None
-            )
-            tasks = [(p, root) for p in ordered]
-            try:
-                payloads = list(pool.map(_fleet_run, tasks, chunksize=chunk))
-            except BrokenProcessPool:
-                # A dead executor must never be handed out again; drop it
-                # so the next acquire builds a fresh pool.
-                fleet.invalidate(width, mp_context=ctx)
-                raise
-            by_point = {
-                p: self._receive_transport(p, payload, key_of)
-                for p, payload in zip(ordered, payloads)
-            }
-            path = f"parallel[fleet:{method}]"
-            return path, [(p,) + by_point[p] for p in misses]
-        # Legacy per-call pool (REPRO_FLEET=0 / Runner(fleet=False)).
+        chunk = adaptive_chunksize(len(ordered), width)
         method = (
             ctx.get_start_method() if ctx is not None
             else multiprocessing.get_start_method()
         )
-        path = f"parallel[{method}]"
-        with ProcessPoolExecutor(
-            max_workers=min(width, len(ordered)), mp_context=ctx
-        ) as pool:
-            out = list(pool.map(_simulate_point, ordered, chunksize=chunk))
-        by_legacy = dict(zip(ordered, out))
-        return path, [(p, by_legacy[p], True) for p in misses]
+        fleet = get_fleet()
+        before = fleet.stats()
+        pool = fleet.acquire(width, mp_context=ctx)
+        self._note_fleet(before, fleet.stats())
+        root = (
+            str(self.disk_cache.root)
+            if self.disk_cache is not None else None
+        )
+        tasks = [(p, root) for p in ordered]
+        try:
+            payloads = list(pool.map(_fleet_run, tasks, chunksize=chunk))
+        except BrokenProcessPool:
+            # A dead executor must never be handed out again; drop it so
+            # the next acquire builds a fresh pool.
+            fleet.invalidate(width, mp_context=ctx)
+            raise
+        by_point = {
+            p: self._receive_transport(p, payload, key_of)
+            for p, payload in zip(ordered, payloads)
+        }
+        path = f"parallel[fleet:{method}]"
+        return path, [(p,) + by_point[p] for p in misses]
 
     def _receive_transport(
         self, point: tuple, payload: object, key_of: Dict[tuple, str]
@@ -539,8 +474,9 @@ class Runner:
                 RuntimeWarning,
                 stacklevel=2,
             )
-            return _simulate_point(point), True
+            return simulate(*point), True
         assert rehydrated is not None
+        self.rehydrations += 1
         # The disk entry drops the observability fields; carry the
         # worker's measured wall clock over so throughput accounting is
         # identical to full-pickle transport.
@@ -580,6 +516,11 @@ class Runner:
             line += (
                 f" [fleet: {cold} cold / {warm} warm acquire(s), "
                 f"spin-up {spin:.2f}s]"
+            )
+        if self.disk_cache is not None:
+            line += (
+                f" [disk: {self.disk_hits} hit(s), "
+                f"{self.rehydrations} rehydration(s)]"
             )
         return line
 

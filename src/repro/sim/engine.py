@@ -263,7 +263,7 @@ class Engine:
         iteration order (consecutive bucket slots preserve FIFO), with the
         validation and bucket lookup hoisted out of the loop — the vector
         entry point for handlers that fan out many same-cycle events
-        (wavefront seeding, batched completion re-issues).
+        (wavefront seeding).
         """
         if not (self.now <= time < _INF):
             raise ValueError(

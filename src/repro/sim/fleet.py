@@ -12,8 +12,7 @@ into reusable batch machinery:
   cold start (pool construction plus a warm barrier that forces every
   worker to spawn and pre-import the sim stack); every later ``acquire()``
   returns the same live pool in microseconds.  ``shutdown()`` is explicit
-  and also registered via ``atexit``, and ``REPRO_FLEET=0`` opts back out
-  to the legacy per-call pool.
+  and also registered via ``atexit``.
 * **Worker-side stream caching** — :func:`_fleet_run` materializes each
   point's NumPy access streams through a small per-worker LRU keyed by
   the *profile* component of the cache key, so a grid that visits the
@@ -31,10 +30,10 @@ into reusable batch machinery:
   and :func:`order_by_estimated_work` fronts the heaviest points so the
   straggler tail shrinks.
 
-Everything here is sweep *orchestration*: none of the knobs (fleet
-on/off, chunk size, stream-cache capacity) can change what a simulation
-computes, only how fast the grid drains — the identity tests pin
-``result_fingerprints()`` equality across serial, fleet and legacy paths.
+Everything here is sweep *orchestration*: nothing (chunk size, stream
+cache, transport) can change what a simulation computes, only how fast
+the grid drains — the identity tests pin ``result_fingerprints()``
+equality across serial and fleet paths.
 """
 
 from __future__ import annotations
@@ -43,7 +42,6 @@ import atexit
 import multiprocessing
 import os
 import time
-import warnings
 from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -53,14 +51,9 @@ from repro.sim.system import simulate
 from repro.workloads.generator import Workload, generate_workload
 
 __all__ = [
-    "FLEET_ENV",
-    "CHUNK_ENV",
-    "STREAM_CACHE_ENV",
+    "STREAM_CACHE_CAP",
     "SLIM_TAG",
     "WorkerFleet",
-    "fleet_env_enabled",
-    "chunksize_from_env",
-    "stream_cache_cap_from_env",
     "adaptive_chunksize",
     "estimate_work",
     "order_by_estimated_work",
@@ -69,17 +62,9 @@ __all__ = [
     "shutdown_fleet",
 ]
 
-#: ``REPRO_FLEET=0`` opts out of the persistent fleet: ``run_many`` falls
-#: back to constructing one pool per call (the pre-fleet behaviour).
-FLEET_ENV = "REPRO_FLEET"
-
-#: ``REPRO_CHUNK=N`` pins the ``pool.map`` chunksize; unset means
-#: :func:`adaptive_chunksize` picks one from the miss count and width.
-CHUNK_ENV = "REPRO_CHUNK"
-
-#: ``REPRO_STREAM_CACHE=N`` caps the per-worker workload LRU (number of
-#: distinct (profile, scale) stream sets kept alive); ``0`` disables it.
-STREAM_CACHE_ENV = "REPRO_STREAM_CACHE"
+#: Capacity of the per-worker workload LRU: the number of distinct
+#: (profile, scale) stream sets each worker keeps alive.
+STREAM_CACHE_CAP = 8
 
 #: First element of a slim-transport payload returned by :func:`_fleet_run`
 #: in place of a full pickled :class:`SimResult`.
@@ -91,66 +76,6 @@ SLIM_TAG = "__simfleet_slim__"
 #: worker-reachability closure starts from them even though no
 #: ``pool.map`` call site is visible here.
 SIMSHARD_WORKERS: Tuple[str, ...] = ("_fleet_run",)
-
-
-# ----------------------------------------------------------- env resolvers
-
-
-def fleet_env_enabled(default: bool = True) -> bool:
-    """Resolve ``REPRO_FLEET`` once (declared input resolver, SimPure
-    SP401): the persistent fleet is on unless the variable is ``0``.
-
-    The value is pure orchestration — fleet and legacy pools run the same
-    worker logic on the same frozen points, so it is fingerprint-neutral
-    by construction (pinned by the fleet identity tests).
-    """
-    raw = os.environ.get(FLEET_ENV)
-    if raw is None or raw == "":
-        return default
-    return raw != "0"
-
-
-def chunksize_from_env(default: Optional[int] = None) -> Optional[int]:
-    """Resolve ``REPRO_CHUNK`` once: an explicit ``pool.map`` chunksize,
-    or ``None`` to let :func:`adaptive_chunksize` choose.  Malformed
-    values warn and fall back (mirroring ``env_jobs``); values below 1
-    are clamped to 1.
-    """
-    raw = os.environ.get(CHUNK_ENV)
-    if raw is None or raw == "":
-        return default
-    try:
-        value = int(raw)
-    except ValueError:
-        warnings.warn(
-            f"ignoring malformed {CHUNK_ENV}={raw!r} (not an int); "
-            "using adaptive chunking",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return default
-    return max(1, value)
-
-
-def stream_cache_cap_from_env(default: int = 8) -> int:
-    """Resolve ``REPRO_STREAM_CACHE`` once: the per-worker workload-LRU
-    capacity.  ``0`` disables the cache (every point regenerates its
-    streams); malformed values warn and fall back; negatives clamp to 0.
-    """
-    raw = os.environ.get(STREAM_CACHE_ENV)
-    if raw is None or raw == "":
-        return default
-    try:
-        value = int(raw)
-    except ValueError:
-        warnings.warn(
-            f"ignoring malformed {STREAM_CACHE_ENV}={raw!r} (not an int); "
-            f"using capacity {default}",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return default
-    return max(0, value)
 
 
 # ------------------------------------------------------- scheduling helpers
@@ -209,15 +134,12 @@ def materialize_workload(profile, scale: float) -> Workload:
     bind time), and generation is deterministic, so a cached workload is
     indistinguishable from a fresh one.
     """
-    cap = stream_cache_cap_from_env()
-    if cap <= 0:
-        return generate_workload(profile, scale)
     key = (profile_cache_key(profile), float(scale))
     wl = _STREAM_CACHE.get(key)
     if wl is None:
         wl = generate_workload(profile, scale)
         _STREAM_CACHE[key] = wl
-        while len(_STREAM_CACHE) > cap:
+        while len(_STREAM_CACHE) > STREAM_CACHE_CAP:
             _STREAM_CACHE.popitem(last=False)
     else:
         _STREAM_CACHE.move_to_end(key)
@@ -252,7 +174,7 @@ def _fleet_run(task: Tuple) -> object:
     returns the slim ``(SLIM_TAG, key, fingerprint sha, wall s,
     events/s)`` tuple — the parent rehydrates from disk instead of
     unpickling a heavy :class:`SimResult`; without one it returns the
-    full result exactly like the legacy ``_simulate_point`` worker.
+    full result.
     """
     point, cache_root = task
     profile, spec, cfg = point

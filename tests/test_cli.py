@@ -146,12 +146,6 @@ class TestCommands:
             ["figures", "fig14", "--jobs", "4", "--cache-dir", "/tmp/x"])
         assert args.jobs == 4 and args.cache_dir == "/tmp/x"
         assert args.no_cache is False
-        assert args.no_fleet is False
-
-    def test_no_fleet_flag_runs_legacy_pool(self, capsys):
-        assert main(["sweep", "C-NN", "--scale", "0.05", "--jobs", "2",
-                     "--no-fleet"]) == 0
-        capsys.readouterr()
 
     def test_python_dash_m_entry(self):
         import subprocess

@@ -1,7 +1,7 @@
 """Tests for SimFleet: the persistent warm worker pool, the per-worker
 stream cache, slim cache-key result transport, and adaptive scheduling.
 
-The load-bearing property throughout is *identity*: fleet on/off, fork
+The load-bearing property throughout is *identity*: serial vs fleet, fork
 vs spawn, cold vs warm pools, slim vs full transport are pure
 orchestration choices — every path must produce bit-identical
 ``result_fingerprints()``.
@@ -15,24 +15,20 @@ import warnings
 import numpy as np
 import pytest
 
+from repro.experiments import base
 from repro.experiments.base import BASELINE, PROPOSED_DESIGNS, Runner
 from repro.sim.config import SimConfig
 from repro.sim.fleet import (
-    CHUNK_ENV,
-    FLEET_ENV,
     SLIM_TAG,
-    STREAM_CACHE_ENV,
+    STREAM_CACHE_CAP,
     WorkerFleet,
     _STREAM_CACHE,
     adaptive_chunksize,
-    chunksize_from_env,
     estimate_work,
-    fleet_env_enabled,
     get_fleet,
     materialize_workload,
     order_by_estimated_work,
     shutdown_fleet,
-    stream_cache_cap_from_env,
 )
 from repro.sim.store import DiskResultCache, sim_cache_key
 from repro.sim.validation import audit_slim_transport
@@ -85,37 +81,6 @@ class TestScheduling:
         assert order_by_estimated_work(points) == list(points)
 
 
-# ----------------------------------------------------------- env resolvers
-
-
-class TestEnvResolvers:
-    def test_fleet_enabled_by_default(self, monkeypatch):
-        monkeypatch.delenv(FLEET_ENV, raising=False)
-        assert fleet_env_enabled() is True
-        monkeypatch.setenv(FLEET_ENV, "0")
-        assert fleet_env_enabled() is False
-        monkeypatch.setenv(FLEET_ENV, "1")
-        assert fleet_env_enabled() is True
-
-    def test_chunksize_malformed_warns(self, monkeypatch):
-        monkeypatch.setenv(CHUNK_ENV, "banana")
-        with pytest.warns(RuntimeWarning, match="malformed"):
-            assert chunksize_from_env() is None
-        monkeypatch.setenv(CHUNK_ENV, "-3")
-        assert chunksize_from_env() == 1  # clamped
-        monkeypatch.setenv(CHUNK_ENV, "5")
-        assert chunksize_from_env() == 5
-
-    def test_stream_cache_cap(self, monkeypatch):
-        monkeypatch.delenv(STREAM_CACHE_ENV, raising=False)
-        assert stream_cache_cap_from_env() == 8
-        monkeypatch.setenv(STREAM_CACHE_ENV, "0")
-        assert stream_cache_cap_from_env() == 0
-        monkeypatch.setenv(STREAM_CACHE_ENV, "oops")
-        with pytest.warns(RuntimeWarning, match="malformed"):
-            assert stream_cache_cap_from_env() == 8
-
-
 # ------------------------------------------------------- stream cache
 
 
@@ -153,21 +118,14 @@ class TestStreamCache:
         assert a is not b
         assert len(_STREAM_CACHE) == 2
 
-    def test_cap_zero_disables_caching(self, monkeypatch):
-        monkeypatch.setenv(STREAM_CACHE_ENV, "0")
+    def test_lru_eviction(self):
         prof = get_app("C-BLK")
-        a = materialize_workload(prof, SCALE)
-        b = materialize_workload(prof, SCALE)
-        assert a is not b
-        assert len(_STREAM_CACHE) == 0
-
-    def test_lru_eviction(self, monkeypatch):
-        monkeypatch.setenv(STREAM_CACHE_ENV, "1")
-        prof = get_app("C-BLK")
-        a = materialize_workload(prof, SCALE)
-        materialize_workload(get_app("T-AlexNet"), SCALE)  # evicts a
-        assert len(_STREAM_CACHE) == 1
-        assert materialize_workload(prof, SCALE) is not a
+        a = materialize_workload(prof, 0.01)
+        # STREAM_CACHE_CAP more distinct (profile, scale) keys evict a.
+        for i in range(STREAM_CACHE_CAP):
+            materialize_workload(prof, 0.01 * (i + 2))
+        assert len(_STREAM_CACHE) == STREAM_CACHE_CAP
+        assert materialize_workload(prof, 0.01) is not a
 
 
 # --------------------------------------------------------- the fleet itself
@@ -246,26 +204,10 @@ class TestFleetIdentity:
         assert spawned.sweep_paths.get("parallel[fleet:spawn]") == 1
         assert spawned.result_fingerprints() == serial.result_fingerprints()
 
-    def test_fleet_env_opt_out_uses_legacy_pool(self, monkeypatch):
-        monkeypatch.setenv(FLEET_ENV, "0")
-        serial = fresh_runner()
-        serial.run_many(GRID, jobs=1)
-        legacy = fresh_runner()
-        sweep(legacy)
-        assert legacy.sweep_paths.get("parallel[fork]") == 1
-        assert not legacy.fleet_stats
-        assert legacy.result_fingerprints() == serial.result_fingerprints()
-
-    def test_fleet_false_overrides_env(self, monkeypatch):
-        monkeypatch.setenv(FLEET_ENV, "1")
-        runner = fresh_runner(fleet=False)
-        sweep(runner)
-        assert runner.sweep_paths.get("parallel[fork]") == 1
-
     def test_explicit_chunksize_is_identity_neutral(self, monkeypatch):
         serial = fresh_runner()
         serial.run_many(GRID, jobs=1)
-        monkeypatch.setenv(CHUNK_ENV, "3")
+        monkeypatch.setattr(base, "adaptive_chunksize", lambda n, width: 3)
         chunked = fresh_runner()
         sweep(chunked)
         assert chunked.result_fingerprints() == serial.result_fingerprints()
@@ -309,6 +251,23 @@ class TestSlimTransport:
         assert all(r.events_per_s > 0 for r in results)
         assert runner.sim_wall_s > 0
         assert runner.sim_events > 0
+
+    def test_read_backs_count_as_rehydrations_not_hits(self, tmp_path):
+        cold = fresh_runner(cache=str(tmp_path / "cache"))
+        sweep(cold)
+        assert cold.sims_run == len(GRID)
+        assert cold.disk_hits == 0
+        assert cold.rehydrations == cold.sims_run
+        assert (
+            f"[disk: 0 hit(s), {len(GRID)} rehydration(s)]"
+            in cold.throughput_summary()
+        )
+
+        warm = fresh_runner(cache=str(tmp_path / "cache"))
+        sweep(warm)
+        assert warm.sims_run == 0
+        assert warm.disk_hits == len(GRID)
+        assert warm.rehydrations == 0
 
     def test_rehydration_failure_falls_back_to_resimulation(self, tmp_path):
         serial = fresh_runner()

@@ -5,10 +5,10 @@ hand-picked grid points in tests/test_simturbo.py.
 Every example runs the same (profile, design) config twice — once with
 SimVec batch twins wired, once with ``force_scalar_dispatch()`` — and
 requires a single fingerprint.  The profile strategy deliberately spans
-the shapes the twins branch on: stores/atomics/bypasses (generic-twin
-delegation), MLP > 1 (the fused re-issue push), tiny streams (runs that
-hit the exhausted-wavefront branch) and imbalance (ragged same-cycle
-buckets).
+the shapes the twins branch on: stores/atomics/bypasses (the fallback
+to scalar issue), MLP > 1 (the fused re-issue push), tiny streams (runs
+that hit the exhausted-wavefront branch) and imbalance (ragged
+same-cycle buckets).
 """
 
 from hypothesis import given, settings

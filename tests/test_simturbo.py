@@ -289,10 +289,11 @@ def test_wavefront_materializes_streams_to_plain_ints():
 # same fast wiring, but every event runs its scalar fast twin one call at
 # a time instead of per-run through the batch twins.  Batched, scalar and
 # forced-slow runs of one config must produce one fingerprint — that
-# identity is the batch twins' (and the fused specialized twins') whole
-# contract.  Sh40/T-AlexNet engages the specialized single-cluster fused
-# twins; the other points cover the generic batch twins and designs where
-# specialization declines.
+# identity is the fused batch twins' whole contract.  Sh40/T-AlexNet
+# engages the fused single-cluster twins; C-BFS/Sh40 engages them on a
+# store-bearing stream, whose non-LOAD issue runs fall back to scalar
+# dispatch; the other points are shapes where the fusion declines and
+# every event dispatches scalar.
 
 
 def _three_way_hashes(app, spec, scale=0.1, **cfg_kw):
@@ -313,10 +314,11 @@ def _three_way_hashes(app, spec, scale=0.1, **cfg_kw):
 @pytest.mark.parametrize(
     "app_name, design",
     [
-        ("T-AlexNet", "Sh40"),       # specialized fused twins engage
+        ("T-AlexNet", "Sh40"),       # fused twins engage
+        ("C-BFS", "Sh40"),           # fused, with non-LOAD issue fallback
         ("T-AlexNet", "Baseline"),   # coupled: no DC-L1 level
         ("T-ResNet", "Pr40"),        # private homes
-        ("C-SP", "Sh40+C10"),        # clustered: generic twins only
+        ("C-SP", "Sh40+C10"),        # clustered: scalar dispatch
     ],
 )
 def test_batched_dispatch_matches_scalar_and_slow(app_name, design):
@@ -326,8 +328,8 @@ def test_batched_dispatch_matches_scalar_and_slow(app_name, design):
 
 
 def test_batched_dispatch_matches_scalar_with_q1_credits():
-    # Finite node queues route issue through _enter_node; the specialized
-    # twins must decline and the generic twins must still be bit-exact.
+    # Finite node queues route issue through _enter_node; the fused twins
+    # must decline and scalar dispatch must stay bit-exact.
     b, s, sl = _three_way_hashes(
         get_app("T-AlexNet"), DESIGNS["Sh40"], dcl1_queue_depth=4
     )
@@ -353,11 +355,10 @@ def test_specialized_twins_engage_on_the_headline_config():
 
 
 def test_specialized_twins_decline_on_clustered_shape():
-    sys_ = GPUSystem(get_app("C-SP"), DESIGNS["Sh40+C10"],
-                     SimConfig(scale=0.05))
-    twins = sys_.engine._batch_handlers
-    issue_twin = twins.get(sys_._wf_issue.__func__)
-    assert issue_twin is not None  # generic batch twin still wired
-    assert not issue_twin.__qualname__.startswith(
-        "GPUSystem._make_spec_twins"
-    )
+    """Batched dispatch exists only where the fused twins apply: on the
+    clustered and coupled shapes no batch handler is registered, so the
+    engine drains every event through its plain scalar loop."""
+    for app_name, design in (("C-SP", "Sh40+C10"), ("T-AlexNet", "Baseline")):
+        sys_ = GPUSystem(get_app(app_name), DESIGNS[design],
+                         SimConfig(scale=0.05))
+        assert not sys_.engine._batch_handlers, f"{app_name}/{design}"

@@ -5,16 +5,10 @@ runner-level cache accounting."""
 from __future__ import annotations
 
 import multiprocessing
-import warnings
 
 import pytest
 
-from repro.experiments.base import (
-    BASELINE,
-    PROPOSED_DESIGNS,
-    Runner,
-    env_par_min_points,
-)
+from repro.experiments.base import BASELINE, PROPOSED_DESIGNS, Runner
 from repro.experiments.registry import run_experiment
 from repro.sim.config import SimConfig
 
@@ -94,10 +88,10 @@ class TestRunMany:
                [b.fingerprint() for b in r_spawn]
 
     def test_small_grid_falls_back_to_serial(self):
-        # Below the min-points threshold the pool is skipped entirely,
-        # and the taken path is recorded for observability.
+        # Below the min-points threshold (default 4) the pool is skipped
+        # entirely, and the taken path is recorded for observability.
         runner = fresh_runner()
-        results = runner.run_many(self.GRID, jobs=2, par_min_points=10)
+        results = runner.run_many(self.GRID, jobs=2)
         assert runner.sims_run == 3
         assert runner.sweep_paths == {"serial[below-min-points]": 1}
         assert [r.app for r in results] == ["C-BLK", "C-BLK", "T-AlexNet"]
@@ -107,31 +101,6 @@ class TestRunMany:
         runner = fresh_runner()
         runner.run_many([("C-BLK", BASELINE)], jobs=4)
         assert runner.sweep_paths == {"serial": 1}
-
-
-class TestParMinPointsEnv:
-    def test_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_PAR_MIN_POINTS", raising=False)
-        assert env_par_min_points() == 4
-
-    def test_env_override_and_clamp(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PAR_MIN_POINTS", "7")
-        assert env_par_min_points() == 7
-        monkeypatch.setenv("REPRO_PAR_MIN_POINTS", "-3")
-        assert env_par_min_points() == 1
-
-    def test_malformed_warns_and_falls_back(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PAR_MIN_POINTS", "four")
-        with pytest.warns(RuntimeWarning, match="REPRO_PAR_MIN_POINTS"):
-            assert env_par_min_points() == 4
-
-    def test_env_threshold_drives_run_many(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PAR_MIN_POINTS", "100")
-        runner = fresh_runner()
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # no RuntimeWarning expected
-            runner.run_many(TestRunMany.GRID, jobs=2)
-        assert runner.sweep_paths == {"serial[below-min-points]": 1}
 
 
 class TestDiskCacheIntegration:
