@@ -51,7 +51,12 @@ from repro.sim.fleet import (
     order_by_estimated_work,
 )
 from repro.sim.results import SimResult
-from repro.sim.store import DiskResultCache, cache_from_env, sim_cache_key
+from repro.sim.store import (
+    DiskResultCache,
+    KeyMemo,
+    cache_from_env,
+    sim_cache_key,
+)
 from repro.sim.system import simulate
 from repro.sim.validation import audit_slim_transport, validate_grid
 from repro.workloads.profile import AppProfile
@@ -190,6 +195,10 @@ class Runner:
         else:
             self.disk_cache = DiskResultCache(cache)
         self._cache: Dict[tuple, SimResult] = {}
+        # Cache-key fragments of every component object this runner has
+        # keyed (see sim_cache_key's ``memo``): one canonicalization per
+        # distinct profile/spec/config object for the runner's lifetime.
+        self._key_memo: KeyMemo = {}
         self.sims_run = 0
         # Disk-layer accounting: points the disk cache served to a lookup
         # (``disk_hits``) and slim-transport read-backs of results a
@@ -197,6 +206,9 @@ class Runner:
         # read-back is a transport step of a fresh simulation, not a hit.
         self.disk_hits = 0
         self.rehydrations = 0
+        # Slim-transport points whose audit failed and were re-simulated
+        # in-process (each is also a sims_run; see _receive_transport).
+        self.resim_fallbacks = 0
         # Aggregate simulator observability (fresh runs only — cache hits
         # cost no simulator time): total wall seconds spent inside
         # GPUSystem.run and total events drained there.  Parallel sweeps
@@ -245,20 +257,26 @@ class Runner:
 
     # -- the three result layers -------------------------------------------
 
-    def _disk_get(self, point: tuple) -> Optional[SimResult]:
-        if self.disk_cache is None:
-            return None
-        return self.disk_cache.get(sim_cache_key(*point))
+    def _key(self, point: tuple) -> str:
+        return sim_cache_key(*point, memo=self._key_memo)
 
     def _disk_put(self, point: tuple, result: SimResult) -> None:
         if self.disk_cache is not None:
-            self.disk_cache.put(sim_cache_key(*point), result)
+            self.disk_cache.put(self._key(point), result)
 
-    def _lookup(self, point: tuple) -> Optional[SimResult]:
-        """Memory layer, then disk layer (promoting disk hits to memory)."""
+    def _lookup(
+        self, point: tuple, key: Optional[str] = None
+    ) -> Optional[SimResult]:
+        """Memory layer, then disk layer (promoting disk hits to memory).
+
+        ``key`` is the point's cache key when the caller already has it
+        (``run_many`` gets one per point from ``validate_grid``); it is
+        derived only if the disk layer is actually consulted."""
         result = self._cache.get(point)
-        if result is None:
-            result = self._disk_get(point)
+        if result is None and self.disk_cache is not None:
+            result = self.disk_cache.get(
+                key if key is not None else self._key(point)
+            )
             if result is not None:
                 self.disk_hits += 1
                 self._cache[point] = result
@@ -358,14 +376,16 @@ class Runner:
         because each simulation is a pure function of its frozen inputs.
         """
         resolved = self.resolve_points(points)
-        keys = validate_grid(resolved, on_duplicate="collapse")
+        keys = validate_grid(
+            resolved, on_duplicate="collapse", memo=self._key_memo
+        )
 
         results: List[Optional[SimResult]] = [None] * len(resolved)
         pending: Dict[tuple, List[int]] = {}
         key_of: Dict[tuple, str] = {}
         for i, (point, key) in enumerate(zip(resolved, keys)):
             key_of.setdefault(point, key)
-            hit = self._lookup(point)
+            hit = self._lookup(point, key)
             if hit is not None:
                 results[i] = hit
             else:
@@ -474,6 +494,7 @@ class Runner:
                 RuntimeWarning,
                 stacklevel=2,
             )
+            self.resim_fallbacks += 1
             return simulate(*point), True
         assert rehydrated is not None
         self.rehydrations += 1
@@ -520,8 +541,11 @@ class Runner:
         if self.disk_cache is not None:
             line += (
                 f" [disk: {self.disk_hits} hit(s), "
-                f"{self.rehydrations} rehydration(s)]"
+                f"{self.rehydrations} rehydration(s)"
             )
+            if self.resim_fallbacks:
+                line += f", {self.resim_fallbacks} re-simulation fallback(s)"
+            line += "]"
         return line
 
     def speedup(self, app, spec: DesignSpec, **kwargs) -> float:
@@ -535,7 +559,7 @@ class Runner:
         content-addressed cache key (comparing two runners that covered
         the same grid — e.g. serial vs parallel — is a dict equality)."""
         return {
-            sim_cache_key(*point): result.fingerprint()
+            self._key(point): result.fingerprint()
             for point, result in self._cache.items()
         }
 

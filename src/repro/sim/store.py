@@ -18,7 +18,9 @@ into one SHA-256 hex digest.  All three are frozen dataclasses, so
 ``dataclasses.fields`` enumerates every field; the JSON serialization is
 canonical (sorted keys, no whitespace), which makes the key stable across
 processes and platforms.  Any changed field changes the key; unknown
-field types fail loudly rather than hash ambiguously.
+field types fail loudly rather than hash ambiguously.  Callers that key
+many points over shared component objects pass a per-caller ``memo``
+so each object is canonicalized once (see :func:`sim_cache_key`).
 
 The one deliberate exception: fields a class names in its
 ``FINGERPRINT_NEUTRAL_FIELDS`` class variable (e.g.
@@ -82,31 +84,82 @@ CACHE_SCHEMA_VERSION = 2
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 
 
-def _neutral_fields(obj: object) -> frozenset:
-    """A dataclass's declared fingerprint-neutral field names (none by
-    default) — the only fields :func:`_canonical` skips when keying."""
-    return getattr(type(obj), "FINGERPRINT_NEUTRAL_FIELDS", frozenset())
+#: Per-class canonicalization plan: a dataclass's field names minus its
+#: ``FINGERPRINT_NEUTRAL_FIELDS``, in declaration order, built once per
+#: class by :func:`_field_plan`.  The only module-level key state: a plan
+#: is a pure function of the class, so every process builds identical
+#: entries, and it never holds instances (fragment memos are per caller).
+_FIELD_PLANS: Dict[type, Tuple[str, ...]] = {}
+
+#: Exact types :func:`_canonical` passes through unchanged.  Subclasses
+#: (``IntEnum`` and friends) take the slower ``isinstance`` paths.
+_JSON_SCALARS = frozenset({str, int, float, bool, type(None)})
+
+
+def _field_plan(cls: type) -> Tuple[str, ...]:
+    """The keyed field names of dataclass ``cls`` (cached per class)."""
+    plan = _FIELD_PLANS.get(cls)
+    if plan is None:
+        neutral = getattr(cls, "FINGERPRINT_NEUTRAL_FIELDS", frozenset())
+        plan = tuple(
+            f.name for f in dataclasses.fields(cls) if f.name not in neutral
+        )
+        _FIELD_PLANS[cls] = plan
+    return plan
 
 
 def _canonical(obj: object) -> object:
     """Recursively reduce dataclasses/enums/containers to JSON-safe data,
     dropping declared fingerprint-neutral fields (see module docstring)."""
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        neutral = _neutral_fields(obj)
-        return {
-            f.name: _canonical(getattr(obj, f.name))
-            for f in dataclasses.fields(obj)
-            if f.name not in neutral
-        }
+    cls = type(obj)
+    if cls in _JSON_SCALARS:
+        return obj
+    plan = _FIELD_PLANS.get(cls)
+    if plan is None and dataclasses.is_dataclass(cls):
+        plan = _field_plan(cls)
+    if plan is not None:
+        return {name: _canonical(getattr(obj, name)) for name in plan}
     if isinstance(obj, enum.Enum):
         return obj.value
     if isinstance(obj, dict):
         return {str(k): _canonical(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_canonical(v) for v in obj]
-    if obj is None or isinstance(obj, (bool, int, float, str)):
+    if isinstance(obj, (bool, int, float, str)):
         return obj
-    raise TypeError(f"cannot canonicalize {type(obj).__name__!r} for cache keying")
+    raise TypeError(f"cannot canonicalize {cls.__name__!r} for cache keying")
+
+
+def _fragment(obj: object) -> str:
+    """Canonical JSON of one key component: the exact bytes
+    ``json.dumps(payload, sort_keys=True)`` would emit for it nested
+    inside the key payload."""
+    return json.dumps(_canonical(obj), sort_keys=True, separators=(",", ":"))
+
+
+#: Identity-keyed fragment memo: ``id(obj) -> (obj, fragment)``.  The
+#: entry holds ``obj`` itself, so its id cannot be reused while the
+#: entry lives.  Never keyed by equality: ``AppProfile(compute_gap=2)``
+#: equals ``AppProfile(compute_gap=2.0)`` but canonicalizes differently.
+KeyMemo = Dict[int, Tuple[object, str]]
+
+
+def _memo_fragment(obj: object, memo: Optional[KeyMemo]) -> str:
+    """:func:`_fragment`, served from ``memo`` for frozen dataclass
+    instances already seen (anything else is canonicalized every time)."""
+    if memo is None:
+        return _fragment(obj)
+    entry = memo.get(id(obj))
+    if entry is None:
+        entry = (obj, _fragment(obj))
+        params = getattr(type(obj), "__dataclass_params__", None)
+        if params is not None and params.frozen:
+            memo[id(obj)] = entry
+    return entry[1]
+
+
+def _digest(blob: str) -> str:
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
 #: The dataclasses whose fields make up the cache-key domain, in payload
@@ -137,29 +190,39 @@ def cache_key_manifest() -> Dict[str, Dict[str, object]]:
     manifest: Dict[str, Dict[str, object]] = {}
     for role, cls in _KEYED_CLASSES:
         neutral = getattr(cls, "FINGERPRINT_NEUTRAL_FIELDS", frozenset())
-        names = tuple(f.name for f in dataclasses.fields(cls))
         manifest[role] = {
             "class": cls.__name__,
-            "keyed": tuple(n for n in names if n not in neutral),
+            "keyed": _field_plan(cls),
             "neutral": tuple(sorted(neutral)),
         }
     return manifest
 
 
-def sim_cache_key(profile: AppProfile, spec: DesignSpec, cfg: SimConfig) -> str:
+def sim_cache_key(
+    profile: AppProfile,
+    spec: DesignSpec,
+    cfg: SimConfig,
+    memo: Optional[KeyMemo] = None,
+) -> str:
     """Stable content-addressed key for one simulation point.
 
     Same logical (profile, spec, config) -> same hex key in every
     process; any changed field -> a different key.
+
+    The hashed blob is ``json.dumps({"config": ..., "design": ...,
+    "profile": ..., "schema": N}, sort_keys=True)``, assembled from one
+    canonical fragment per component.  ``memo`` (a dict the caller owns,
+    e.g. one per :class:`~repro.experiments.base.Runner`) caches those
+    fragments by object identity, so a grid that reuses the same frozen
+    component objects canonicalizes each once; the key is byte-identical
+    with or without it.
     """
-    payload = {
-        "schema": CACHE_SCHEMA_VERSION,
-        "profile": _canonical(profile),
-        "design": _canonical(spec),
-        "config": _canonical(cfg),
-    }
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    return _digest(
+        f'{{"config":{_memo_fragment(cfg, memo)},'
+        f'"design":{_memo_fragment(spec, memo)},'
+        f'"profile":{_memo_fragment(profile, memo)},'
+        f'"schema":{CACHE_SCHEMA_VERSION}}}'
+    )
 
 
 def profile_cache_key(profile: AppProfile) -> str:
@@ -173,12 +236,9 @@ def profile_cache_key(profile: AppProfile) -> str:
     (fingerprint-neutral fields like ``AppProfile.suite`` are excluded),
     so two profiles differing only in neutral fields share streams.
     """
-    payload = {
-        "schema": CACHE_SCHEMA_VERSION,
-        "profile": _canonical(profile),
-    }
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    return _digest(
+        f'{{"profile":{_fragment(profile)},"schema":{CACHE_SCHEMA_VERSION}}}'
+    )
 
 
 class DiskResultCache:

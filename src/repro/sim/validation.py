@@ -35,7 +35,7 @@ re-simulation — correctness over speed.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.designs import DesignKind, DesignSpec
 
@@ -193,6 +193,7 @@ def validate_grid(
     points: Sequence[Tuple[object, object, object]],
     *,
     on_duplicate: str = "error",
+    memo: Optional[Dict[int, Tuple[object, str]]] = None,
 ) -> List[str]:
     """Pre-flight check of a resolved sweep grid; returns the cache keys.
 
@@ -214,6 +215,12 @@ def validate_grid(
       ``on_duplicate="collapse"`` skips that check for callers like
       :meth:`Runner.run_many` that deliberately collapse duplicates to
       one simulation.
+
+    ``memo`` is passed through to every ``sim_cache_key`` call (see
+    :func:`repro.sim.store.sim_cache_key`): keys are identical with or
+    without it, but a caller that keeps one memo across grids — as
+    :class:`~repro.experiments.base.Runner` does — canonicalizes each
+    shared component object once.
 
     On any problem raises :class:`GridValidationError` listing all of
     them; otherwise returns one ``sim_cache_key`` per point, in order.
@@ -267,7 +274,7 @@ def validate_grid(
                 f"max_events must be > 0; got {cfg.max_events!r}"
             )
         try:
-            key = sim_cache_key(profile, spec, cfg)
+            key = sim_cache_key(profile, spec, cfg, memo=memo)
         except TypeError as exc:
             problems.append(
                 f"point {i} ({profile.name}/{spec.label}): cannot "

@@ -258,6 +258,7 @@ class TestSlimTransport:
         assert cold.sims_run == len(GRID)
         assert cold.disk_hits == 0
         assert cold.rehydrations == cold.sims_run
+        assert cold.resim_fallbacks == 0
         assert (
             f"[disk: 0 hit(s), {len(GRID)} rehydration(s)]"
             in cold.throughput_summary()
@@ -283,6 +284,15 @@ class TestSlimTransport:
             warnings.simplefilter("ignore", RuntimeWarning)
             sweep(runner)
         assert runner.result_fingerprints() == serial.result_fingerprints()
+        # Every point's read-back missed, so every point fell back, and
+        # the summary says so.
+        assert runner.resim_fallbacks == len(GRID)
+        assert runner.rehydrations == 0
+        assert (
+            f"[disk: 0 hit(s), 0 rehydration(s), "
+            f"{len(GRID)} re-simulation fallback(s)]"
+            in runner.throughput_summary()
+        )
 
 
 class TestAuditSlimTransport:

@@ -122,6 +122,42 @@ class TestKeyIsAPureFunctionOfKeyedFields:
         )
 
 
+class TestKeyMemoIsTransparent:
+    """A key derived through a shared fragment memo equals the key
+    derived without one, for every component combination."""
+
+    @given(
+        st.lists(profiles, min_size=1, max_size=3),
+        st.lists(designs, min_size=1, max_size=3),
+        st.lists(configs, min_size=1, max_size=3),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_shared_memo_matches_no_memo(self, profs, specs, cfgs):
+        memo: dict = {}
+        for _ in range(2):  # the second sweep is served from the memo
+            for p in profs:
+                for s in specs:
+                    for c in cfgs:
+                        assert sim_cache_key(p, s, c, memo=memo) == (
+                            sim_cache_key(p, s, c)
+                        )
+
+    @given(profiles)
+    @settings(max_examples=30, deadline=None)
+    def test_equal_profiles_with_int_and_float_gap_keep_distinct_keys(
+        self, profile
+    ):
+        as_int = dataclasses.replace(profile, compute_gap=2)
+        as_float = dataclasses.replace(profile, compute_gap=2.0)
+        assert as_int == as_float  # equal, yet canonicalized differently
+        memo: dict = {}
+        k_int = sim_cache_key(as_int, BASE_SPEC, BASE_CFG, memo=memo)
+        k_float = sim_cache_key(as_float, BASE_SPEC, BASE_CFG, memo=memo)
+        assert k_int != k_float
+        assert k_int == sim_cache_key(as_int, BASE_SPEC, BASE_CFG)
+        assert k_float == sim_cache_key(as_float, BASE_SPEC, BASE_CFG)
+
+
 class TestNeutralFieldsNeverTouchTheKey:
     @given(
         profiles,

@@ -16,6 +16,8 @@ from repro.sim.config import GPUConfig, SimConfig
 from repro.sim.store import (
     CACHE_SCHEMA_VERSION,
     DiskResultCache,
+    _memo_fragment,
+    profile_cache_key,
     sim_cache_key,
 )
 from repro.sim.system import simulate
@@ -25,6 +27,43 @@ from repro.workloads.suite import get_app
 PROFILE = AppProfile(name="unit", num_ctas=4, accesses_per_cta=8)
 SPEC = DesignSpec.clustered(8, 4)
 CFG = SimConfig(gpu=GPUConfig(num_cores=16, num_l2_slices=8, num_channels=4))
+
+
+class TestKeyGoldens:
+    """Keys pinned byte-for-byte: a persistent cache written by an
+    earlier build stays valid only while these hold (otherwise bump
+    ``CACHE_SCHEMA_VERSION``)."""
+
+    def test_sim_cache_key_goldens(self):
+        assert sim_cache_key(
+            get_app("T-AlexNet"), DesignSpec.shared(40), SimConfig(scale=0.05)
+        ) == "95fd9966f461516fea473c6688545780b6d4ef3ae4a8e8f3dc0bdf2a5f26d305"
+        assert sim_cache_key(
+            get_app("C-BFS"),
+            DesignSpec.clustered(40, 10, boost=2.0),
+            SimConfig(scale=0.1),
+        ) == "cfe634f59b08f8fb531f944a13da9f4566968838cad762367f8af359d9c1974c"
+
+    def test_profile_cache_key_golden(self):
+        assert profile_cache_key(get_app("T-AlexNet")) == (
+            "5c5dac8e7ab761d858adfee8a3abaa9975b4681a9fd7a918bbf47b60f8a5abfb"
+        )
+
+
+class TestKeyMemo:
+    def test_memo_is_identity_keyed_with_strong_refs(self):
+        memo: dict = {}
+        sim_cache_key(PROFILE, SPEC, CFG, memo=memo)
+        for obj in (PROFILE, SPEC, CFG):
+            held, fragment = memo[id(obj)]
+            assert held is obj
+            assert isinstance(fragment, str)
+
+    def test_only_frozen_dataclasses_are_memoized(self):
+        memo: dict = {}
+        assert _memo_fragment([1, 2], memo) == "[1,2]"
+        assert _memo_fragment({"b": 1, "a": 2}, memo) == '{"a":2,"b":1}'
+        assert memo == {}
 
 
 class TestCacheKey:

@@ -10,6 +10,7 @@ import pytest
 
 from repro.experiments.base import BASELINE, PROPOSED_DESIGNS, Runner
 from repro.experiments.registry import run_experiment
+from repro.sim import store
 from repro.sim.config import SimConfig
 
 SCALE = 0.05
@@ -132,6 +133,50 @@ class TestDiskCacheIntegration:
         assert Runner(SimConfig(scale=SCALE), cache=False).disk_cache is None
         monkeypatch.delenv("REPRO_CACHE_DIR")
         assert Runner(SimConfig(scale=SCALE)).disk_cache is None
+
+
+class TestKeyMemoScope:
+    """Cache-key fragments are memoized per Runner, never per process."""
+
+    GRID = [(app, spec) for app in ("C-BLK", "T-AlexNet")
+            for spec in (BASELINE, BOOST)]
+
+    def test_one_fragment_per_component_object_per_runner(
+        self, tmp_path, monkeypatch
+    ):
+        fresh_runner(cache=str(tmp_path)).run_many(self.GRID)  # populate
+
+        built: list = []
+        real = store._fragment
+
+        def counting(obj):
+            built.append(obj)
+            return real(obj)
+
+        monkeypatch.setattr(store, "_fragment", counting)
+
+        warm = fresh_runner(cache=str(tmp_path), jobs=2)
+        warm.run_many(self.GRID)
+        assert warm.sims_run == 0 and warm.disk_hits == len(self.GRID)
+        # 2 profiles + 2 designs + 1 config, each canonicalized once.
+        assert len(built) == 5
+        assert sorted(map(id, built)) == self.component_ids(warm)
+
+        warm.run_many(self.GRID)
+        warm.result_fingerprints()
+        assert len(built) == 5  # everything else came from the memo
+
+        # A fresh runner starts from an empty memo: no process-global
+        # state carries fragments across runners.
+        again = fresh_runner(cache=str(tmp_path), jobs=2)
+        again.run_many(self.GRID)
+        assert sorted(map(id, built[5:])) == self.component_ids(again)
+
+    def component_ids(self, runner: Runner) -> list:
+        return sorted({
+            id(obj) for point in runner.resolve_points(self.GRID)
+            for obj in point
+        })
 
 
 class TestRealExperimentGrid:
