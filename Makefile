@@ -74,7 +74,7 @@ heat:
 # mutate-and-replay, SimShard serial/fork/spawn replay, SimHeat
 # force-fast/force-slow differential replay).
 analyze:
-	PYTHONPATH=src $(PYTHON) -m repro.cli analyze src/repro
+	PYTHONPATH=src $(PYTHON) -m repro.cli analyze --strict src/repro
 	PYTHONPATH=src $(PYTHON) -m repro.cli purity --confirm --scale 0.1
 	PYTHONPATH=src $(PYTHON) -m repro.cli shard --confirm --scale 0.1
 	PYTHONPATH=src $(PYTHON) -m repro.cli heat --confirm --scale 0.1 --no-alloc

@@ -71,9 +71,9 @@ from __future__ import annotations
 import ast
 import re
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
-from repro.analysis.simlint import Severity, iter_python_files
+from repro.analysis.framework import Collector, Finding, Rule, Severity, Tool
 from repro.analysis.simrace import (
     _root_attr,
     method_aliases,
@@ -82,15 +82,14 @@ from repro.analysis.simrace import (
 
 __all__ = [
     "FlowFinding",
+    "TOOL",
     "flow_source",
     "run_flow",
     "flow_rule_table",
 ]
 
-_SUPPRESS_RE = re.compile(r"#\s*simflow:\s*disable=([A-Za-z0-9_,\s]+)")
-
 #: (rule_id, severity, title) for every SimFlow rule.
-FLOW_RULES: List[Tuple[str, Severity, str]] = [
+FLOW_RULES: List[Rule] = [
     ("SF301", Severity.ERROR,
      "resource acquired without a reachable release (leak)"),
     ("SF302", Severity.ERROR,
@@ -117,27 +116,10 @@ _MAX_PATH_STATES = 64
 
 
 @dataclass(frozen=True)
-class FlowFinding:
+class FlowFinding(Finding):
     """One liveness finding (leak, bad release, or acquire-order cycle)."""
 
-    path: str
-    line: int
-    col: int
-    rule_id: str
-    severity: Severity
-    resource: str
-    message: str
-
-    def format(self) -> str:
-        return (
-            f"{self.path}:{self.line}:{self.col}: "
-            f"{self.severity.value} {self.rule_id}: {self.message}"
-        )
-
-
-def flow_rule_table() -> List[Tuple[str, str, str]]:
-    """(rule_id, severity, title) for every SimFlow rule."""
-    return [(rid, sev.value, title) for rid, sev, title in FLOW_RULES]
+    resource: str = "<module>"
 
 
 # --------------------------------------------------------- event extraction
@@ -505,27 +487,6 @@ class _PathWalker:
 # -------------------------------------------------------------- class pass
 
 
-class _SourceContext:
-    """Per-file suppression-comment lookup (SimLint convention, with the
-    ``simflow:`` marker)."""
-
-    def __init__(self, path: str, source: str):
-        self.path = path
-        self.lines = source.splitlines()
-
-    def suppressed(self, lines: Iterable[int], rule_id: str) -> bool:
-        for line in lines:
-            if not (1 <= line <= len(self.lines)):
-                continue
-            m = _SUPPRESS_RE.search(self.lines[line - 1])
-            if m is None:
-                continue
-            rules = {r.strip().upper() for r in m.group(1).split(",")}
-            if "ALL" in rules or rule_id.upper() in rules:
-                return True
-        return False
-
-
 def _schedule_closure(
     start: str, trans: Dict[str, _TransFacts]
 ) -> Set[str]:
@@ -579,9 +540,7 @@ def _find_cycle(edges: Dict[Tuple[str, str], int]) -> Optional[Tuple[List[str], 
     return None
 
 
-def _analyze_class(
-    cls: ast.ClassDef, ctx: _SourceContext, select: Optional[Set[str]]
-) -> List[FlowFinding]:
+def _analyze_class(cls: ast.ClassDef, out: Collector) -> None:
     methods: Dict[str, _MethodFacts] = {}
     asts: Dict[str, ast.AST] = {}
     aliases_by_method: Dict[str, Dict[str, str]] = {}
@@ -597,7 +556,7 @@ def _analyze_class(
     # ResourceLedger...) define acquire/release primitives without the
     # handler protocol and are out of scope.
     if not any(m.schedules for m in methods.values()):
-        return []
+        return
 
     trans = _transitive_facts(methods)
 
@@ -608,30 +567,6 @@ def _analyze_class(
         walker = _PathWalker(aliases_by_method[name], trans, report)
         walker.walk_block(func.body, [_State()])  # type: ignore[attr-defined]
         reports[name] = report
-
-    findings: List[FlowFinding] = []
-
-    def wanted(rule_id: str) -> bool:
-        return select is None or rule_id in select
-
-    def emit(
-        rule_id: str,
-        resource: str,
-        line: int,
-        extra_suppress: Sequence[int],
-        message: str,
-    ) -> None:
-        if not wanted(rule_id):
-            return
-        severity = next(sev for rid, sev, _ in FLOW_RULES if rid == rule_id)
-        if ctx.suppressed([line, *extra_suppress], rule_id):
-            return
-        findings.append(
-            FlowFinding(
-                path=ctx.path, line=line, col=0, rule_id=rule_id,
-                severity=severity, resource=resource, message=message,
-            )
-        )
 
     # -- SF301: acquire without a reachable release ------------------------
     # Judged at root methods (not called by any other method): a helper's
@@ -662,26 +597,28 @@ def _analyze_class(
                     for m in methods.values()
                     if resource in m.acquires
                 )
-            emit(
-                "SF301", resource, line, [facts.lineno],
+            out.add(
+                "SF301", line,
                 f"{cls.name}.{name} acquires '{resource}' but no handler "
                 f"reachable from it (checked {len(closure)} handler(s) in "
                 "its schedule closure) ever releases it — every acquisition "
                 "leaks; pair it with a release or hand it to a handler "
                 "that releases it",
+                also=[facts.lineno], resource=resource,
             )
 
     # -- SF301: exception-path leaks ---------------------------------------
     for name in sorted(reports):
         facts = methods[name]
         for resource, acq_line, raise_line in sorted(reports[name].raise_leaks):
-            emit(
-                "SF301", resource, raise_line, [acq_line, facts.lineno],
+            out.add(
+                "SF301", raise_line,
                 f"{cls.name}.{name} raises while holding '{resource}' "
                 f"(acquired at line {acq_line}) before any scheduled "
                 "continuation takes it over — the exception path leaks "
                 "the resource; release it in a finally block or before "
                 "raising",
+                also=[acq_line, facts.lineno], resource=resource,
             )
 
     # -- SF302: release without acquire / double release -------------------
@@ -694,25 +631,27 @@ def _analyze_class(
             if resource in class_acquires:
                 continue
             line = facts.releases[resource][0]
-            emit(
-                "SF302", resource, line, [facts.lineno],
+            out.add(
+                "SF302", line,
                 f"{cls.name}.{name} releases '{resource}' but no handler "
                 "in the class ever acquires it — a stray release corrupts "
                 "the resource's accounting (double-free once the real "
                 "owner releases too)",
+                also=[facts.lineno], resource=resource,
             )
     for name in sorted(reports):
         facts = methods[name]
         for resource, line in sorted(reports[name].double_releases):
-            emit(
-                "SF302", resource, line, [facts.lineno],
+            out.add(
+                "SF302", line,
                 f"{cls.name}.{name} releases '{resource}' twice on one "
                 "path without an intervening acquire — the second release "
                 "frees state another request may already own",
+                also=[facts.lineno], resource=resource,
             )
 
     # -- SF303: acquire-order cycles ---------------------------------------
-    if wanted("SF303"):
+    if out.wants("SF303"):
         edges: Dict[Tuple[str, str], int] = {}
         for report in reports.values():
             for edge, line in report.order_edges.items():
@@ -722,56 +661,39 @@ def _analyze_class(
         found = _find_cycle(edges)
         if found is not None:
             cycle, anchor = found
-            emit(
-                "SF303", cycle[0], anchor, [cls.lineno],
+            out.add(
+                "SF303", anchor,
                 f"acquire-order cycle in {cls.name}: "
                 + " -> ".join(cycle)
                 + " — two requests interleaving these handlers can each "
                 "hold one resource while waiting for the other "
                 "(hold-and-wait deadlock); acquire in one global order "
                 "or release before re-acquiring",
+                also=[cls.lineno], resource=cycle[0],
             )
-
-    findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule_id))
-    return findings
 
 
 # ------------------------------------------------------------- entry points
 
 
-def flow_source(
-    source: str,
-    path: str = "<string>",
-    select: Optional[Iterable[str]] = None,
-) -> List[FlowFinding]:
-    """Run the liveness analysis over one source string."""
-    wanted = {r.upper() for r in select} if select is not None else None
-    try:
-        tree = ast.parse(source, filename=path)
-    except SyntaxError as exc:
-        return [
-            FlowFinding(
-                path, exc.lineno or 1, exc.offset or 0, "SF001",
-                Severity.ERROR, "<module>", f"syntax error: {exc.msg}",
-            )
-        ]
-    ctx = _SourceContext(path, source)
-    findings: List[FlowFinding] = []
+def _check(tree: ast.Module, out: Collector) -> None:
     for node in ast.walk(tree):
         if isinstance(node, ast.ClassDef):
-            findings.extend(_analyze_class(node, ctx, wanted))
-    findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule_id))
-    return findings
+            _analyze_class(node, out)
 
 
-def run_flow(
-    paths: Sequence[str],
-    select: Optional[Iterable[str]] = None,
-) -> List[FlowFinding]:
-    """Run the liveness analysis over every Python file under ``paths``."""
-    findings: List[FlowFinding] = []
-    for file in iter_python_files(paths):
-        findings.extend(
-            flow_source(file.read_text(encoding="utf-8"), str(file), select=select)
-        )
-    return findings
+TOOL = Tool(
+    name="simflow",
+    command="flow",
+    checks="resource-flow liveness",
+    help="SimFlow: static resource-flow liveness analysis "
+         "(leaks, stray releases, acquire-order cycles)",
+    rules=FLOW_RULES,
+    parse_rule="SF001",
+    check=_check,
+    finding=FlowFinding,
+)
+
+flow_source = TOOL.analyze_source
+run_flow = TOOL.analyze_paths
+flow_rule_table = TOOL.rule_table

@@ -50,13 +50,27 @@ line, SimLint convention.
 
 from __future__ import annotations
 
+import argparse
 import ast
 import copy
-import re
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.analysis.simlint import Severity, iter_python_files
+from repro.analysis.framework import (
+    BENIGN,
+    CONFIRMED,
+    UNOBSERVED,
+    Collector,
+    Confirmer,
+    Finding,
+    Probe,
+    Rule,
+    Severity,
+    Tool,
+    add_grid_arguments,
+    parse_grid,
+    sort_findings,
+)
 from repro.analysis.simrace import (
     diff_fingerprints,
     single_assignment_defs,
@@ -65,8 +79,8 @@ from repro.analysis.simrace import (
 __all__ = [
     "HEAT_RULES",
     "HeatFinding",
-    "HeatProbe",
     "HeatReport",
+    "TOOL",
     "DEFAULT_CONFIRM_GRID",
     "heat_rule_table",
     "heat_source",
@@ -74,9 +88,7 @@ __all__ = [
     "confirm_heat",
 ]
 
-_SUPPRESS_RE = re.compile(r"#\s*simheat:\s*disable=([A-Za-z0-9_,\s]+)")
-
-HEAT_RULES: List[Tuple[str, Severity, str]] = [
+HEAT_RULES: List[Rule] = [
     ("SH600", Severity.ERROR,
      "module failed to parse (twin manifests unverifiable)"),
     ("SH601", Severity.ERROR,
@@ -98,8 +110,6 @@ HEAT_RULES: List[Tuple[str, Severity, str]] = [
     ("SH615", Severity.WARNING,
      "logging/printing in a hot handler"),
 ]
-
-_RULE_IDS = {rid for rid, _, _ in HEAT_RULES}
 
 #: ``self`` attributes (and bare names) that are instrumentation, not
 #: model semantics: statements/branches keyed on them are elided before
@@ -137,51 +147,14 @@ ret = start + occupancy + p.latency
 """
 
 
-def heat_rule_table() -> List[Tuple[str, str, str]]:
-    """(rule_id, severity, title) for every SimHeat rule."""
-    return [(rid, sev.value, title) for rid, sev, title in HEAT_RULES]
-
-
 @dataclass(frozen=True)
-class HeatFinding:
+class HeatFinding(Finding):
     """One twin-drift or hot-path-hygiene violation."""
 
-    path: str
-    line: int
-    col: int
-    rule_id: str
-    severity: Severity
-    message: str
     #: Hot handler the finding sits in (family two; confirmer grading).
     handler: str = ""
     #: ``fast->slow`` pair label (family one; confirmer grading).
     pair: str = ""
-
-    def format(self) -> str:
-        return (
-            f"{self.path}:{self.line}:{self.col}: "
-            f"{self.severity.value} {self.rule_id}: {self.message}"
-        )
-
-
-class _SourceContext:
-    """Per-file suppression-comment lookup (``# simheat: disable=``)."""
-
-    def __init__(self, path: str, source: str):
-        self.path = path
-        self.lines = source.splitlines()
-
-    def suppressed(self, lines: Iterable[int], rule_id: str) -> bool:
-        for line in lines:
-            if not (1 <= line <= len(self.lines)):
-                continue
-            m = _SUPPRESS_RE.search(self.lines[line - 1])
-            if m is None:
-                continue
-            rules = {r.strip().upper() for r in m.group(1).split(",")}
-            if "ALL" in rules or rule_id.upper() in rules:
-                return True
-        return False
 
 
 # ------------------------------------------------------------ manifests
@@ -592,8 +565,7 @@ def _count_reserve_calls(func: ast.FunctionDef, slow_names: Set[str]) -> int:
 
 def _check_lockstep(pair: _Pair, fast: ast.FunctionDef,
                     slow: ast.FunctionDef, elidable: Set[str],
-                    ctx: _SourceContext) -> List[HeatFinding]:
-    out: List[HeatFinding] = []
+                    out: Collector) -> None:
     seq_fast = _effect_sequence(fast, elidable)
     seq_slow = _effect_sequence(slow, elidable)
     if seq_fast != seq_slow:
@@ -603,17 +575,16 @@ def _check_lockstep(pair: _Pair, fast: ast.FunctionDef,
             ([f"fast-only: {extra_f[0]!r}"] if extra_f else [])
             + ([f"slow-only: {extra_s[0]!r}"] if extra_s else [])
         ) or "statement order differs"
-        out.append(HeatFinding(
-            ctx.path, fast.lineno, fast.col_offset, "SH601", Severity.ERROR,
+        out.add(
+            "SH601", fast.lineno,
             f"{pair.fast} drifts from {pair.slows[0]} after eliding "
-            f"instrumentation ({detail})", pair=pair.label))
-    return out
+            f"instrumentation ({detail})",
+            col=fast.col_offset, also=(fast.lineno,), pair=pair.label)
 
 
 def _check_inline(pair: _Pair, fast: ast.FunctionDef,
                   slow: ast.FunctionDef, elidable: Set[str],
-                  ctx: _SourceContext) -> List[HeatFinding]:
-    out: List[HeatFinding] = []
+                  out: Collector) -> None:
     want = _count_reserve_calls(slow, {"reserve", "reserve_fast"})
     # Segment the fast body into inlined blocks at receiver rebinds:
     # an Assign whose RHS is a subscript/attribute lookup starts a block.
@@ -638,20 +609,19 @@ def _check_inline(pair: _Pair, fast: ast.FunctionDef,
     if cur:
         blocks.append(cur)
     if len(blocks) != want:
-        out.append(HeatFinding(
-            ctx.path, fast.lineno, fast.col_offset, "SH601", Severity.ERROR,
+        out.add(
+            "SH601", fast.lineno,
             f"{pair.fast} inlines {len(blocks)} reservation block(s) but "
             f"{pair.slows[0]} makes {want} reservation call(s)",
-            pair=pair.label))
-        return out
+            col=fast.col_offset, also=(fast.lineno,), pair=pair.label)
+        return
     for i, block in enumerate(blocks):
         if not _match_reserve_block(block):
-            out.append(HeatFinding(
-                ctx.path, fast.lineno, fast.col_offset, "SH601",
-                Severity.ERROR,
+            out.add(
+                "SH601", fast.lineno,
                 f"{pair.fast} inlined block {i + 1} does not match the "
-                "Server.reserve arithmetic template", pair=pair.label))
-    return out
+                "Server.reserve arithmetic template",
+                col=fast.col_offset, also=(fast.lineno,), pair=pair.label)
 
 
 def _branch_returns(func: ast.FunctionDef) -> List[Tuple[Optional[ast.AST], ast.AST]]:
@@ -710,8 +680,7 @@ class _CallReplacer(ast.NodeTransformer):
 
 def _check_closure(pair: _Pair, fast: ast.FunctionDef,
                    slow: ast.FunctionDef, defs: Dict[str, ast.FunctionDef],
-                   ctx: _SourceContext) -> List[HeatFinding]:
-    out: List[HeatFinding] = []
+                   out: Collector) -> None:
     cls = pair.slows[0].rsplit(".", 1)[0]
     helpers = [str(h) for h in pair.options.get("inline_helpers", [])]
     env_slow = _env_of(slow)
@@ -723,7 +692,7 @@ def _check_closure(pair: _Pair, fast: ast.FunctionDef,
         if isinstance(stmt, ast.Return) and stmt.value is not None:
             slow_ret = _substitute(stmt.value, env_slow)
     if slow_ret is None:
-        return out
+        return
     canonical: List[Tuple[Optional[ast.AST], ast.AST]] = [(None, slow_ret)]
     for helper_name in helpers:
         helper = defs.get(f"{cls}.{helper_name}")
@@ -750,35 +719,37 @@ def _check_closure(pair: _Pair, fast: ast.FunctionDef,
 
     closures = _conditional_defs(fast)
     if len(closures) != len(canonical):
-        out.append(HeatFinding(
-            ctx.path, fast.lineno, fast.col_offset, "SH601", Severity.ERROR,
+        out.add(
+            "SH601", fast.lineno,
             f"{pair.fast} builds {len(closures)} specialized closure(s) but "
             f"the canonical {pair.slows[0]} has {len(canonical)} branch(es)",
-            pair=pair.label))
-        return out
+            col=fast.col_offset, also=(fast.lineno,), pair=pair.label)
+        return
 
     env_fast = _env_of(fast)
     for i, ((fcond, closure), (scond, canon)) in enumerate(
             zip(closures, canonical)):
         where = closure.lineno if closure is not None else fast.lineno
         if (fcond is None) != (scond is None):
-            out.append(HeatFinding(
-                ctx.path, where, fast.col_offset, "SH601", Severity.ERROR,
+            out.add(
+                "SH601", where,
                 f"{pair.fast} branch {i + 1} guard structure differs from "
-                f"the canonical {pair.slows[0]}", pair=pair.label))
+                f"the canonical {pair.slows[0]}",
+                col=fast.col_offset, also=(fast.lineno,), pair=pair.label)
             continue
         if fcond is not None and _norm(fcond, env_fast) != ast.unparse(scond):
-            out.append(HeatFinding(
-                ctx.path, where, fast.col_offset, "SH601", Severity.ERROR,
+            out.add(
+                "SH601", where,
                 f"{pair.fast} branch {i + 1} guard "
                 f"{_norm(fcond, env_fast)!r} != canonical "
-                f"{ast.unparse(scond)!r}", pair=pair.label))
+                f"{ast.unparse(scond)!r}",
+                col=fast.col_offset, also=(fast.lineno,), pair=pair.label)
             continue
         if closure is None:
-            out.append(HeatFinding(
-                ctx.path, where, fast.col_offset, "SH601", Severity.ERROR,
+            out.add(
+                "SH601", where,
                 f"{pair.fast} branch {i + 1} builds no closure",
-                pair=pair.label))
+                col=fast.col_offset, also=(fast.lineno,), pair=pair.label)
             continue
         cret = None
         for stmt in closure.body:
@@ -800,26 +771,25 @@ def _check_closure(pair: _Pair, fast: ast.FunctionDef,
             if isinstance(inner, ast.BinOp) and isinstance(inner.op, ast.Mult):
                 accepted.add(ast.unparse(inner.left))
         if got not in accepted:
-            out.append(HeatFinding(
-                ctx.path, closure.lineno, closure.col_offset, "SH601",
-                Severity.ERROR,
+            out.add(
+                "SH601", closure.lineno,
                 f"{pair.fast} closure {got!r} does not match canonical "
-                f"{ast.unparse(canon)!r}", pair=pair.label))
-    return out
+                f"{ast.unparse(canon)!r}",
+                col=closure.col_offset, also=(fast.lineno,), pair=pair.label)
 
 
 def _check_specialized(pair: _Pair, fast: ast.FunctionDef,
                        slow: ast.FunctionDef, elidable: Set[str],
-                       ctx: _SourceContext) -> List[HeatFinding]:
-    out: List[HeatFinding] = []
+                       out: Collector) -> None:
     cb_fast = _schedule_callbacks(fast)
     cb_slow = _schedule_callbacks(slow)
     extra = cb_fast - cb_slow
     if extra:
-        out.append(HeatFinding(
-            ctx.path, fast.lineno, fast.col_offset, "SH601", Severity.ERROR,
+        out.add(
+            "SH601", fast.lineno,
             f"{pair.fast} schedules handler(s) {sorted(extra)} that "
-            f"{pair.slows[0]} never schedules", pair=pair.label))
+            f"{pair.slows[0]} never schedules",
+            col=fast.col_offset, also=(fast.lineno,), pair=pair.label)
     # Assignments both sides make to the same object attribute must agree
     # (after local substitution) — e.g. req.mc_id derivation.
     env_f, env_s = _env_of(fast), _env_of(slow)
@@ -839,19 +809,17 @@ def _check_specialized(pair: _Pair, fast: ast.FunctionDef,
     a_slow = attr_assigns(slow, env_s)
     for attr in sorted(set(a_fast) & set(a_slow)):
         if not (a_fast[attr] & a_slow[attr]):
-            out.append(HeatFinding(
-                ctx.path, fast.lineno, fast.col_offset, "SH601",
-                Severity.ERROR,
+            out.add(
+                "SH601", fast.lineno,
                 f"{pair.fast} and {pair.slows[0]} assign .{attr} "
                 f"differently ({sorted(a_fast[attr])[0]!r} vs "
-                f"{sorted(a_slow[attr])[0]!r})", pair=pair.label))
-    return out
+                f"{sorted(a_slow[attr])[0]!r})",
+                col=fast.col_offset, also=(fast.lineno,), pair=pair.label)
 
 
 def _check_counters(pair: _Pair, fast: ast.FunctionDef,
                     slow: ast.FunctionDef, elidable: Set[str],
-                    ctx: _SourceContext) -> List[HeatFinding]:
-    out: List[HeatFinding] = []
+                    out: Collector) -> None:
     slow_only = {str(c) for c in pair.options.get("slow_only_counters", [])}
     c_fast = _counter_targets(fast, elidable)
     c_slow = _counter_targets(slow, elidable)
@@ -859,32 +827,32 @@ def _check_counters(pair: _Pair, fast: ast.FunctionDef,
     slow_missing = c_fast - c_slow
     undeclared = c_fast & slow_only
     for name in sorted(fast_missing):
-        out.append(HeatFinding(
-            ctx.path, fast.lineno, fast.col_offset, "SH602", Severity.ERROR,
+        out.add(
+            "SH602", fast.lineno,
             f"counter {name} is updated by {pair.slows[0]} but not by "
-            f"{pair.fast}", pair=pair.label))
+            f"{pair.fast}",
+            col=fast.col_offset, pair=pair.label)
     for name in sorted(slow_missing):
-        out.append(HeatFinding(
-            ctx.path, slow.lineno, slow.col_offset, "SH602", Severity.ERROR,
+        out.add(
+            "SH602", slow.lineno,
             f"counter {name} is updated by {pair.fast} but not by "
-            f"{pair.slows[0]}", pair=pair.label))
+            f"{pair.slows[0]}",
+            col=slow.col_offset, pair=pair.label)
     for name in sorted(undeclared):
-        out.append(HeatFinding(
-            ctx.path, fast.lineno, fast.col_offset, "SH602", Severity.ERROR,
+        out.add(
+            "SH602", fast.lineno,
             f"counter {name} is declared slow-only but updated by "
-            f"{pair.fast}", pair=pair.label))
-    return out
+            f"{pair.fast}",
+            col=fast.col_offset, pair=pair.label)
 
 
 # -------------------------------------------------------- gate checks
 
 
 def _check_gates(tree: ast.Module, man: _Manifest, elidable: Set[str],
-                 refs: Dict[str, int], ctx: _SourceContext
-                 ) -> List[HeatFinding]:
+                 refs: Dict[str, int], out: Collector) -> None:
     """SH603: a fast path that can never run — either its gating
     predicate is contradictory, or the fast member is never wired in."""
-    out: List[HeatFinding] = []
     # (b) contradictory gates: within a class whose wiring assigns
     # ``self._fast = self.<X> is None ...``, a test ANDing a positive
     # ``_fast`` with ``self.<X> is not None`` can never hold.
@@ -921,38 +889,32 @@ def _check_gates(tree: ast.Module, man: _Manifest, elidable: Set[str],
                 and op.comparators[0].value is None
                 and _self_attr(op.left) in none_keyed
                 for op in test.values)
-            if has_fast and contradicted \
-                    and not ctx.suppressed([test.lineno], "SH603"):
-                out.append(HeatFinding(
-                    ctx.path, test.lineno, test.col_offset, "SH603",
-                    Severity.ERROR,
+            if has_fast and contradicted:
+                out.at(
+                    test, "SH603",
                     "fast-path gate can never hold: self._fast implies the "
-                    "ledger is None but the gate also requires it attached"))
+                    "ledger is None but the gate also requires it attached")
     # (a) unreferenced fast member.
     for pair in man.pairs:
         if refs.get(pair.fast_name, 0) < 1:
             fdef = _collect_defs(tree).get(pair.fast)
-            line = fdef.lineno if fdef is not None else 1
-            if not ctx.suppressed([line], "SH603"):
-                out.append(HeatFinding(
-                    ctx.path, line, 0, "SH603", Severity.ERROR,
-                    f"fast path {pair.fast} is declared in FAST_PATH_PAIRS "
-                    "but never referenced (never wired in)",
-                    pair=pair.label))
-    return out
+            out.add(
+                "SH603", fdef.lineno if fdef is not None else 1,
+                f"fast path {pair.fast} is declared in FAST_PATH_PAIRS "
+                "but never referenced (never wired in)",
+                pair=pair.label)
 
 
 def _check_slow_calls_in_fast(tree: ast.Module, man: _Manifest,
                               defs: Dict[str, ast.FunctionDef],
-                              ctx: _SourceContext) -> List[HeatFinding]:
+                              out: Collector) -> None:
     """SH604: a slow-twin call inside a positive ``self._fast`` branch or
     inside a fast twin's own body."""
-    out: List[HeatFinding] = []
     slow_names: Set[str] = set()
     for pair in man.pairs:
         slow_names |= pair.slow_names()
     if not slow_names:
-        return out
+        return
 
     def scan(stmts: Sequence[ast.stmt], in_fast: bool, gates: Set[str],
              pair_label: str) -> None:
@@ -988,14 +950,11 @@ def _check_slow_calls_in_fast(tree: ast.Module, man: _Manifest,
     def _flag_call(node: ast.Call, pair_label: str) -> None:
         name = getattr(node.func, "attr", None) or (
             node.func.id if isinstance(node.func, ast.Name) else None)
-        if name in slow_names and id(node) not in flagged \
-                and not ctx.suppressed([node.lineno], "SH604"):
-            flagged.add(id(node))
-            out.append(HeatFinding(
-                ctx.path, node.lineno, node.col_offset, "SH604",
-                Severity.ERROR,
+        if name in slow_names and id(node) not in flagged and out.at(
+                node, "SH604",
                 f"slow twin {name}() called on the fast path "
-                "(use the fast twin or hoist the call)", pair=pair_label))
+                "(use the fast twin or hoist the call)", pair=pair_label):
+            flagged.add(id(node))
 
     fast_defs = {p.fast: p.label for p in man.pairs}
     for cls in [s for s in tree.body if isinstance(s, ast.ClassDef)]:
@@ -1008,7 +967,6 @@ def _check_slow_calls_in_fast(tree: ast.Module, man: _Manifest,
                 scan(func.body, True, gates, fast_defs[qual])
             else:
                 scan(func.body, False, gates, "")
-    return out
 
 
 # ----------------------------------------------------- hot-path hygiene
@@ -1053,35 +1011,19 @@ class _HotScanner:
     honouring elided (instrumentation-only) regions."""
 
     def __init__(self, qual: str, func: ast.FunctionDef, man: _Manifest,
-                 elidable: Set[str], select: Optional[Set[str]],
-                 ctx: _SourceContext):
+                 elidable: Set[str], out: Collector):
         self.qual = qual
         self.func = func
         self.man = man
         self.elidable = elidable
-        self.select = select
-        self.ctx = ctx
+        self.out = out
         self.gates = _fast_gate_names(func)
-        self.findings: List[HeatFinding] = []
 
-    def _want(self, rule: str) -> bool:
-        return self.select is None or rule in self.select
+    def _emit(self, node: ast.AST, rule: str, message: str) -> None:
+        self.out.at(node, rule, message, handler=self.qual)
 
-    def _emit(self, node: ast.AST, rule: str, severity: Severity,
-              message: str) -> None:
-        if not self._want(rule):
-            return
-        line = getattr(node, "lineno", self.func.lineno)
-        col = getattr(node, "col_offset", 0)
-        if self.ctx.suppressed([line], rule):
-            return
-        self.findings.append(HeatFinding(
-            self.ctx.path, line, col, rule, severity, message,
-            handler=self.qual))
-
-    def scan(self) -> List[HeatFinding]:
+    def scan(self) -> None:
         self._scan_stmts(self.func.body, in_loop=False)
-        return self.findings
 
     def _scan_stmts(self, stmts: Sequence[ast.stmt], in_loop: bool) -> None:
         for stmt in stmts:
@@ -1146,7 +1088,7 @@ class _HotScanner:
                 if self._under_slow_ifexp(root, node):
                     continue
                 kind = type(node).__name__
-                self._emit(node, "SH611", Severity.WARNING,
+                self._emit(node, "SH611",
                            f"per-event allocation in {self.qual}: {kind} "
                            "constructed on the hot path (hoist or pool it)")
             elif isinstance(node, ast.Call):
@@ -1160,7 +1102,7 @@ class _HotScanner:
                     # One finding per line: sub-chains of a flagged
                     # traversal are implied (ast.walk is outermost-first).
                     cfg_seen.add(node.lineno)
-                    self._emit(node, "SH613", Severity.ERROR,
+                    self._emit(node, "SH613",
                                f"per-event config traversal "
                                f"self.{'.'.join(attrs)} in hot handler "
                                f"{self.qual} (prebind it at wiring time)")
@@ -1188,28 +1130,28 @@ class _HotScanner:
         fn = node.func
         if isinstance(fn, ast.Name):
             if fn.id in ("list", "dict", "set", "frozenset"):
-                self._emit(node, "SH611", Severity.WARNING,
+                self._emit(node, "SH611",
                            f"per-event allocation in {self.qual}: "
                            f"{fn.id}() constructed on the hot path")
             elif fn.id == "print":
-                self._emit(node, "SH615", Severity.WARNING,
+                self._emit(node, "SH615",
                            f"print() in hot handler {self.qual}")
             elif fn.id == "getenv":
-                self._emit(node, "SH613", Severity.ERROR,
+                self._emit(node, "SH613",
                            f"environment read in hot handler {self.qual}")
             return
         if not isinstance(fn, ast.Attribute):
             return
         root, attrs = _attr_root_and_chain(fn)
         if root == "os" and attrs and attrs[0] in ("getenv", "environ"):
-            self._emit(node, "SH613", Severity.ERROR,
+            self._emit(node, "SH613",
                        f"environment read in hot handler {self.qual} "
                        "(resolve it once at config time — SimPure SP401)")
         elif (root in ("logging", "logger", "log")
               or "logger" in attrs[:-1]
               or (fn.attr in _LOG_METHODS
                   and root is not None and "log" in root)):
-            self._emit(node, "SH615", Severity.WARNING,
+            self._emit(node, "SH615",
                        f"logging call in hot handler {self.qual} "
                        "(gate it behind instrumentation or remove it)")
 
@@ -1237,7 +1179,7 @@ class _HotScanner:
                    for other in repeated):
                 continue
             nodes = seen[text]
-            self._emit(nodes[1], "SH612", Severity.WARNING,
+            self._emit(nodes[1], "SH612",
                        f"attribute chain {text} resolved "
                        f"{len(nodes)}x inside the event loop in "
                        f"{self.qual} (prebind it before the loop)")
@@ -1256,7 +1198,7 @@ class _HotScanner:
                 attr = _self_attr(node.func.value)
                 if attr is None or attr in safe or attr in self.elidable:
                     continue
-                self._emit(node, "SH614", Severity.ERROR,
+                self._emit(node, "SH614",
                            f"pooled request stored into self.{attr} in "
                            f"{self.qual}; a reference outliving completion "
                            "defeats reinit() recycling (declare it in "
@@ -1269,7 +1211,7 @@ class _HotScanner:
                 attr = _self_attr(node.targets[0])
                 if attr is None or attr in safe or attr in self.elidable:
                     continue
-                self._emit(node, "SH614", Severity.ERROR,
+                self._emit(node, "SH614",
                            f"pooled request stored into self.{attr}[...] in "
                            f"{self.qual}; a reference outliving completion "
                            "defeats reinit() recycling")
@@ -1300,18 +1242,11 @@ def _reference_counts(trees: Sequence[ast.Module],
     return counts
 
 
-def _analyze_tree(tree: ast.Module, source: str, path: str,
-                  select: Optional[Set[str]],
-                  refs: Dict[str, int]) -> List[HeatFinding]:
-    ctx = _SourceContext(path, source)
+def _analyze_tree(tree: ast.Module, out: Collector,
+                  refs: Dict[str, int]) -> None:
     man = _extract_manifest(tree)
     elidable = ELIDABLE_ATTRS | man.elidable
     defs = _collect_defs(tree)
-    findings: List[HeatFinding] = []
-
-    def want(rule: str) -> bool:
-        return select is None or rule in select
-
     checkers = {
         "lockstep": _check_lockstep,
         "inline": _check_inline,
@@ -1321,79 +1256,46 @@ def _analyze_tree(tree: ast.Module, source: str, path: str,
         fast = defs.get(pair.fast)
         slow = defs.get(pair.slows[0])
         if fast is None or slow is None:
-            if fast is None and want("SH601"):
-                findings.append(HeatFinding(
-                    path, 1, 0, "SH601", Severity.ERROR,
-                    f"FAST_PATH_PAIRS names {pair.fast} but no such "
-                    "definition exists in this module", pair=pair.label))
+            if fast is None:
+                out.add("SH601", 1,
+                        f"FAST_PATH_PAIRS names {pair.fast} but no such "
+                        "definition exists in this module", pair=pair.label)
             continue
-        if pair.mode == "closure":
-            if want("SH601"):
-                raw = _check_closure(pair, fast, slow, defs, ctx)
-                findings.extend(f for f in raw if not ctx.suppressed(
-                    [f.line, fast.lineno], f.rule_id))
-        elif pair.mode in checkers:
-            if want("SH601"):
-                raw = checkers[pair.mode](pair, fast, slow, elidable, ctx)
-                findings.extend(f for f in raw if not ctx.suppressed(
-                    [f.line, fast.lineno], f.rule_id))
+        if out.wants("SH601"):
+            if pair.mode == "closure":
+                _check_closure(pair, fast, slow, defs, out)
+            elif pair.mode in checkers:
+                checkers[pair.mode](pair, fast, slow, elidable, out)
         # "delegated": no structural check.
-        if pair.mode in ("lockstep", "inline", "specialized") \
-                and want("SH602"):
-            raw = _check_counters(pair, fast, slow, elidable, ctx)
-            findings.extend(f for f in raw if not ctx.suppressed(
-                [f.line], f.rule_id))
+        if pair.mode in checkers and out.wants("SH602"):
+            _check_counters(pair, fast, slow, elidable, out)
 
-    if want("SH603"):
-        findings.extend(_check_gates(tree, man, elidable, refs, ctx))
-    if want("SH604"):
-        findings.extend(_check_slow_calls_in_fast(tree, man, defs, ctx))
+    if out.wants("SH603"):
+        _check_gates(tree, man, elidable, refs, out)
+    if out.wants("SH604"):
+        _check_slow_calls_in_fast(tree, man, defs, out)
 
     for qual, func in sorted(_hot_handlers(tree, man, elidable).items()):
-        scanner = _HotScanner(qual, func, man, elidable, select, ctx)
-        findings.extend(scanner.scan())
-    return findings
+        _HotScanner(qual, func, man, elidable, out).scan()
 
 
-def heat_source(source: str, path: str = "<string>",
-                select: Optional[Iterable[str]] = None) -> List[HeatFinding]:
-    """Analyze one source string (fixtures/tests).  References for the
-    SH603 never-wired check are resolved within this source only."""
-    sel = set(select) if select is not None else None
-    try:
-        tree = ast.parse(source)
-    except SyntaxError as exc:
-        return [HeatFinding(path, exc.lineno or 1, exc.offset or 0,
-                            "SH600", Severity.ERROR,
-                            f"syntax error: {exc.msg}")]
-    refs = _reference_counts([tree], [_extract_manifest(tree)])
-    findings = _analyze_tree(tree, source, path, sel, refs)
-    findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule_id))
-    return findings
+def _check(tree: ast.Module, out: Collector) -> None:
+    """One module on its own: references for the SH603 never-wired check
+    are resolved within this source only."""
+    _analyze_tree(tree, out, _reference_counts([tree], [_extract_manifest(tree)]))
 
 
-def run_heat(paths: Sequence[str],
-             select: Optional[Iterable[str]] = None) -> List[HeatFinding]:
-    """Analyze every Python file under ``paths``.  The SH603 never-wired
-    check resolves references package-wide (a fast twin defined in one
-    module and wired in another is not unreachable)."""
-    sel = set(select) if select is not None else None
-    parsed: List[Tuple[str, str, ast.Module]] = []
-    findings: List[HeatFinding] = []
-    for file in iter_python_files(paths):
-        src = file.read_text(encoding="utf-8")
-        try:
-            parsed.append((str(file), src, ast.parse(src)))
-        except SyntaxError as exc:
-            findings.append(HeatFinding(
-                str(file), exc.lineno or 1, exc.offset or 0, "SH600",
-                Severity.ERROR, f"syntax error: {exc.msg}"))
-    refs = _reference_counts([t for _, _, t in parsed],
-                             [_extract_manifest(t) for _, _, t in parsed])
-    for path, src, tree in parsed:
-        findings.extend(_analyze_tree(tree, src, path, sel, refs))
-    findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule_id))
-    return findings
+def _run(paths: Sequence[str], wanted: Optional[Set[str]]) -> List[Finding]:
+    """Every module under ``paths``.  The SH603 never-wired check resolves
+    references package-wide (a fast twin defined in one module and wired
+    in another is not unreachable)."""
+    parsed = list(TOOL.scan(paths, wanted))
+    trees = [tree for tree, _ in parsed if tree is not None]
+    refs = _reference_counts(trees, [_extract_manifest(t) for t in trees])
+    for tree, out in parsed:
+        if tree is not None:
+            _analyze_tree(tree, out, refs)
+    return sort_findings(f for _, out in parsed for f in out.findings)
 
 
 # ------------------------------------------------------------ confirmer
@@ -1410,31 +1312,18 @@ DEFAULT_CONFIRM_GRID: Tuple[Tuple[str, str], ...] = (
     ("C-BLK", "Baseline"),
 )
 
-_VERDICT_CONFIRMED = "CONFIRMED"
-_VERDICT_BENIGN = "BENIGN"
-_VERDICT_UNOBSERVED = "UNOBSERVED"
-
-
-@dataclass(frozen=True)
-class HeatProbe:
-    """One dynamic check: a twin replay or the allocation profile."""
-
-    kind: str      # "twin-diff" | "alloc"
-    target: str    # "APP/DESIGN" or the profiled point
-    ok: bool
-    detail: str = ""
-
-    def format(self) -> str:
-        mark = "ok" if self.ok else "FAIL"
-        text = f"[{mark}] {self.kind} {self.target}"
-        return f"{text}: {self.detail}" if self.detail else text
+def _probe_line(probe: Probe) -> str:
+    mark = "ok" if probe.ok else "FAIL"
+    text = f"[{mark}] {probe.kind} {probe.target}"
+    return f"{text}: {probe.detail}" if probe.detail else text
 
 
 class HeatReport:
-    """Aggregated result of :func:`confirm_heat`."""
+    """Aggregated result of :func:`confirm_heat`.  Probe kinds:
+    ``twin-diff`` (one per grid point) and ``alloc`` (the profile)."""
 
     def __init__(self, grid: Sequence[Tuple[str, str]], scale: float,
-                 probes: List[HeatProbe],
+                 probes: List[Probe],
                  alloc_rows: Sequence[object] = ()):
         self.grid = list(grid)
         self.scale = scale
@@ -1481,20 +1370,20 @@ class HeatReport:
             twin_failed = any(p.kind == "twin-diff" and not p.ok
                               for p in self.probes)
             if twin_failed:
-                return _VERDICT_CONFIRMED
+                return CONFIRMED
             needs_decoupled = ("home_of" in finding.pair
                                or "core_to_dcl1" in finding.pair)
             if needs_decoupled and not self.any_decoupled:
-                return _VERDICT_UNOBSERVED
-            return _VERDICT_BENIGN
+                return UNOBSERVED
+            return BENIGN
         row = self._alloc_row_for(finding.handler) if finding.handler else None
         if row is None:
-            return _VERDICT_UNOBSERVED
+            return UNOBSERVED
         if finding.rule_id in ("SH611", "SH614"):
             if getattr(row, "alloc_b_per_event", 0.0) >= self._alloc_threshold():
-                return _VERDICT_CONFIRMED
-            return _VERDICT_BENIGN
-        return _VERDICT_BENIGN
+                return CONFIRMED
+            return BENIGN
+        return BENIGN
 
     # ------------------------------------------------------- rendering
 
@@ -1503,7 +1392,7 @@ class HeatReport:
             f"SimHeat differential confirmer: {len(self.grid)} grid "
             f"point(s) at scale {self.scale}",
         ]
-        lines.extend(f"  {p.format()}" for p in self.probes)
+        lines.extend(f"  {_probe_line(p)}" for p in self.probes)
         if self.alloc_rows:
             lines.append("  per-handler allocation (tracemalloc, B/event):")
             for row in self.alloc_rows[:8]:
@@ -1523,7 +1412,7 @@ class HeatReport:
                 "alloc-profiled)")
         else:
             bad = next(p for p in self.probes if not p.ok)
-            lines.append(f"overall: UNSOUND — {bad.format()}")
+            lines.append(f"overall: UNSOUND — {_probe_line(bad)}")
         return "\n".join(lines)
 
 
@@ -1546,7 +1435,7 @@ def confirm_heat(grid: Optional[Sequence[Tuple[str, str]]] = None,
 
     points = list(grid) if grid is not None else list(DEFAULT_CONFIRM_GRID)
     cfg = config if config is not None else SimConfig(scale=scale)
-    probes: List[HeatProbe] = []
+    probes: List[Probe] = []
     for app_name, design in points:
         target = f"{app_name}/{design}"
         try:
@@ -1554,7 +1443,7 @@ def confirm_heat(grid: Optional[Sequence[Tuple[str, str]]] = None,
             app = get_app(app_name)
             fast_sys = GPUSystem(app, spec, cfg)
             if not fast_sys._fast:
-                probes.append(HeatProbe(
+                probes.append(Probe(
                     "twin-diff", target, False,
                     "config attaches a ledger; fast wiring unavailable"))
                 continue
@@ -1563,15 +1452,15 @@ def confirm_heat(grid: Optional[Sequence[Tuple[str, str]]] = None,
             slow_sys.force_slow_path()
             fp_slow = slow_sys.run().fingerprint()
         except Exception as exc:  # pragma: no cover - defensive
-            probes.append(HeatProbe("twin-diff", target, False, repr(exc)))
+            probes.append(Probe("twin-diff", target, False, repr(exc)))
             continue
         diffs = diff_fingerprints(fp_fast, fp_slow)
         if diffs:
-            probes.append(HeatProbe(
+            probes.append(Probe(
                 "twin-diff", target, False,
                 f"fast/slow fingerprints diverge: {diffs[0]}"))
         else:
-            probes.append(HeatProbe(
+            probes.append(Probe(
                 "twin-diff", target, True, "fingerprints bit-identical"))
 
     alloc_rows: List[object] = []
@@ -1582,12 +1471,50 @@ def confirm_heat(grid: Optional[Sequence[Tuple[str, str]]] = None,
                 get_app(app_name), parse_design(design), cfg,
                 trace_alloc=True)
             alloc_rows = prof.rows()
-            probes.append(HeatProbe(
+            probes.append(Probe(
                 "alloc", f"{app_name}/{design}", True,
                 f"{len(alloc_rows)} handler(s) profiled"))
         except Exception as exc:  # pragma: no cover - defensive
-            probes.append(HeatProbe(
+            probes.append(Probe(
                 "alloc", f"{app_name}/{design}", False, repr(exc)))
 
     return HeatReport(points, getattr(cfg, "scale", scale), probes,
                       alloc_rows)
+
+
+def _add_confirm_arguments(parser: argparse.ArgumentParser) -> None:
+    add_grid_arguments(parser, DEFAULT_CONFIRM_GRID)
+    parser.add_argument("--no-alloc", action="store_true",
+                        help="skip the tracemalloc allocation profile in --confirm "
+                             "(twin replays only; much faster)")
+
+
+def _confirm(args: argparse.Namespace, findings: List[Finding]) -> HeatReport:
+    return confirm_heat(grid=parse_grid(args.grid, DEFAULT_CONFIRM_GRID),
+                        scale=args.scale, trace_alloc=not args.no_alloc)
+
+
+TOOL = Tool(
+    name="simheat",
+    command="heat",
+    checks="twin-path & hot-path hygiene",
+    help="SimHeat: twin-path drift & hot-path performance hygiene "
+         "(static AST pass and/or force-fast vs force-slow replay "
+         "confirmation)",
+    rules=HEAT_RULES,
+    parse_rule="SH600",
+    check=_check,
+    finding=HeatFinding,
+    run=_run,
+    confirm=Confirmer(
+        help="replay a small grid with the hot path forced on and "
+             "forced off, requiring bit-identical fingerprints, "
+             "and alloc-profile the hot handlers",
+        add_arguments=_add_confirm_arguments,
+        run=_confirm,
+    ),
+)
+
+heat_source = TOOL.analyze_source
+run_heat = TOOL.analyze_paths
+heat_rule_table = TOOL.rule_table

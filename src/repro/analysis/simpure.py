@@ -63,14 +63,29 @@ See ``docs/analysis.md`` for the full story.
 
 from __future__ import annotations
 
+import argparse
 import ast
 import json
 import os
 import re
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.analysis.simlint import ModuleContext, Severity, iter_python_files
+from repro.analysis.framework import (
+    Collector,
+    Confirmer,
+    Finding,
+    ModuleContext,
+    Probe,
+    Rule,
+    Severity,
+    Tool,
+    add_grid_arguments,
+    class_fields,
+    is_classvar,
+    parse_grid,
+    sort_findings,
+)
 from repro.analysis.simrace import (
     MUTATING_METHODS,
     diff_fingerprints,
@@ -78,9 +93,8 @@ from repro.analysis.simrace import (
 )
 
 __all__ = [
-    "PurityFinding",
-    "PurityProbe",
     "PurityReport",
+    "TOOL",
     "purity_source",
     "run_purity",
     "confirm_purity",
@@ -89,10 +103,8 @@ __all__ = [
     "DECLARED_ENV_INPUTS",
 ]
 
-_SUPPRESS_RE = re.compile(r"#\s*simpure:\s*disable=([A-Za-z0-9_,\s]+)")
-
 #: (rule_id, severity, title) for every SimPure rule.
-PURITY_RULES: List[Tuple[str, Severity, str]] = [
+PURITY_RULES: List[Rule] = [
     ("SP401", Severity.ERROR,
      "sim-core read of an input that bypasses the cache key"),
     ("SP402", Severity.WARNING,
@@ -148,29 +160,6 @@ _UNKEYABLE_ANNOTATIONS = frozenset({
 _IDENTITY_METHODS = frozenset({"fingerprint", "to_jsonable", "__eq__", "__hash__"})
 
 
-@dataclass(frozen=True)
-class PurityFinding:
-    """One key-soundness violation at one source location."""
-
-    path: str
-    line: int
-    col: int
-    rule_id: str
-    severity: Severity
-    message: str
-
-    def format(self) -> str:
-        return (
-            f"{self.path}:{self.line}:{self.col}: "
-            f"{self.severity.value} {self.rule_id}: {self.message}"
-        )
-
-
-def purity_rule_table() -> List[Tuple[str, str, str]]:
-    """(rule_id, severity, title) for every SimPure rule."""
-    return [(rid, sev.value, title) for rid, sev, title in PURITY_RULES]
-
-
 def in_sim_core(path: str) -> bool:
     """True when ``path`` belongs to the simulator core (or is an inline
     ``<string>`` source, so unit-test snippets are checked by default)."""
@@ -178,23 +167,6 @@ def in_sim_core(path: str) -> bool:
         return True
     norm = path.replace("\\", "/")
     return any(part in norm for part in _SIM_CORE_PARTS)
-
-
-class _SourceContext:
-    """Suppression-comment lookup for one file."""
-
-    def __init__(self, path: str, source: str):
-        self.path = path
-        self.lines = source.splitlines()
-
-    def suppressed(self, line: int, rule_id: str) -> bool:
-        if not (1 <= line <= len(self.lines)):
-            return False
-        m = _SUPPRESS_RE.search(self.lines[line - 1])
-        if m is None:
-            return False
-        rules = {r.strip().upper() for r in m.group(1).split(",")}
-        return "ALL" in rules or rule_id.upper() in rules
 
 
 # --------------------------------------------------------------- module facts
@@ -273,28 +245,6 @@ def _env_var_name(call: ast.Call, consts: Dict[str, str]) -> str:
     if isinstance(arg, ast.Name) and arg.id in consts:
         return consts[arg.id]
     return "<dynamic>"
-
-
-def _is_classvar(annotation: ast.AST) -> bool:
-    """True for ``ClassVar[...]`` annotations — not dataclass fields."""
-    return any(
-        (isinstance(n, ast.Name) and n.id == "ClassVar")
-        or (isinstance(n, ast.Attribute) and n.attr == "ClassVar")
-        for n in ast.walk(annotation)
-    )
-
-
-def _class_fields(cls: ast.ClassDef) -> Dict[str, int]:
-    """Dataclass field name -> definition line (ClassVars excluded)."""
-    fields: Dict[str, int] = {}
-    for stmt in cls.body:
-        if (
-            isinstance(stmt, ast.AnnAssign)
-            and isinstance(stmt.target, ast.Name)
-            and not _is_classvar(stmt.annotation)
-        ):
-            fields[stmt.target.id] = stmt.lineno
-    return fields
 
 
 def _input_root(node: ast.AST, aliases: Dict[str, str]) -> Tuple[Optional[str], int]:
@@ -629,7 +579,7 @@ def _check_roundtrip(mctx: ModuleContext, emit) -> None:
                 if (
                     isinstance(stmt, ast.AnnAssign)
                     and isinstance(stmt.target, ast.Name)
-                    and not _is_classvar(stmt.annotation)
+                    and not is_classvar(stmt.annotation)
                 ):
                     bad = sorted({
                         n.id if isinstance(n, ast.Name) else n.attr
@@ -652,66 +602,22 @@ def _check_roundtrip(mctx: ModuleContext, emit) -> None:
 # ----------------------------------------------------------- whole-tree pass
 
 
-def _module_findings(
-    tree: ast.Module,
-    path: str,
-    source: str,
-    wanted: Optional[Set[str]],
-) -> List[PurityFinding]:
-    """All per-module findings (SP401/SP403/SP404/SP405) for one file."""
-    if not in_sim_core(path):
-        return []
-    ctx = _SourceContext(path, source)
-    mctx = ModuleContext(path, source, tree)
-    class_names = {
-        n.name for n in ast.walk(tree) if isinstance(n, ast.ClassDef)
-    }
-    findings: List[PurityFinding] = []
-    severities = {rid: sev for rid, sev, _ in PURITY_RULES}
-
-    def emit(node: ast.AST, rule_id: str, message: str) -> None:
-        if wanted is not None and rule_id not in wanted:
-            return
-        line = getattr(node, "lineno", 1)
-        if ctx.suppressed(line, rule_id):
-            return
-        findings.append(
-            PurityFinding(
-                path, line, getattr(node, "col_offset", 0),
-                rule_id, severities[rule_id], message,
-            )
-        )
-
-    _check_undeclared_inputs(mctx, class_names, emit)
-    _check_identity_leaks(mctx, emit)
-    _check_input_mutations(mctx, emit)
-    _check_roundtrip(mctx, emit)
-    return findings
-
-
-def purity_source(
-    source: str,
-    path: str = "<string>",
-    select: Optional[Iterable[str]] = None,
-) -> List[PurityFinding]:
-    """Run the per-module SimPure rules over one source string.
+def _check(tree: ast.Module, out: Collector) -> None:
+    """The per-module rules (SP401/SP403/SP404/SP405) for one file.
 
     SP402 (over-keying) is a whole-tree property and only runs from
     :func:`run_purity` when the scan covers the sim core.
     """
-    wanted = {r.upper() for r in select} if select is not None else None
-    try:
-        tree = ast.parse(source, filename=path)
-    except SyntaxError as exc:
-        return [
-            PurityFinding(
-                path, exc.lineno or 1, exc.offset or 0, "SP001",
-                Severity.ERROR, f"syntax error: {exc.msg}",
-            )
-        ]
-    findings = _module_findings(tree, path, source, wanted)
-    findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule_id))
-    return findings
+    if not in_sim_core(out.path):
+        return
+    mctx = ModuleContext(tree)
+    class_names = {
+        n.name for n in ast.walk(tree) if isinstance(n, ast.ClassDef)
+    }
+    _check_undeclared_inputs(mctx, class_names, out.at)
+    _check_identity_leaks(mctx, out.at)
+    _check_input_mutations(mctx, out.at)
+    _check_roundtrip(mctx, out.at)
 
 
 def _collect_reads(tree: ast.Module) -> Set[str]:
@@ -734,82 +640,57 @@ def _collect_reads(tree: ast.Module) -> Set[str]:
     return reads
 
 
-def run_purity(
-    paths: Sequence[str],
-    select: Optional[Iterable[str]] = None,
-) -> List[PurityFinding]:
-    """Run the full SimPure static pass over every Python file under
-    ``paths``: the per-module rules plus the cross-file SP402 over-keying
-    diff against :func:`repro.sim.store.cache_key_manifest`."""
-    wanted = {r.upper() for r in select} if select is not None else None
-    findings: List[PurityFinding] = []
+def _run(paths: Sequence[str], wanted: Optional[Set[str]]) -> List[Finding]:
+    """The full SimPure static pass: the per-module rules plus the
+    cross-file SP402 over-keying diff against
+    :func:`repro.sim.store.cache_key_manifest`."""
+    outs: List[Collector] = []
     reads: Set[str] = set()
     saw_system = False
-    # Class name -> (path, source-context, {field: line}) for the keyed
-    # dataclass definitions encountered during the scan.
-    defs: Dict[str, Tuple[str, _SourceContext, Dict[str, int]]] = {}
+    # Class name -> (defining file's collector, {field: line}) for the
+    # keyed dataclass definitions encountered during the scan.
+    defs: Dict[str, Tuple[Collector, Dict[str, int]]] = {}
 
-    for file in iter_python_files(paths):
-        path = str(file)
-        source = file.read_text(encoding="utf-8")
-        try:
-            tree = ast.parse(source, filename=path)
-        except SyntaxError as exc:
-            findings.append(
-                PurityFinding(
-                    path, exc.lineno or 1, exc.offset or 0, "SP001",
-                    Severity.ERROR, f"syntax error: {exc.msg}",
-                )
-            )
+    for tree, out in TOOL.scan(paths, wanted):
+        outs.append(out)
+        if tree is None:
             continue
-        findings.extend(_module_findings(tree, path, source, wanted))
+        _check(tree, out)
         reads |= _collect_reads(tree)
-        norm = path.replace("\\", "/")
-        if norm.endswith("sim/system.py"):
+        if out.path.replace("\\", "/").endswith("sim/system.py"):
             saw_system = True
         for node in ast.walk(tree):
             if isinstance(node, ast.ClassDef) and node.name in _KEYED_CLASS_NAMES:
-                defs[node.name] = (
-                    path, _SourceContext(path, source), _class_fields(node)
-                )
+                defs[node.name] = (out, class_fields(node))
 
     if saw_system and (wanted is None or "SP402" in wanted):
-        findings.extend(_overkeying_findings(reads, defs))
-    findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule_id))
-    return findings
+        _report_overkeying(reads, defs)
+    return sort_findings(f for out in outs for f in out.findings)
 
 
-def _overkeying_findings(
-    reads: Set[str],
-    defs: Dict[str, Tuple[str, _SourceContext, Dict[str, int]]],
-) -> List[PurityFinding]:
+def _report_overkeying(
+    reads: Set[str], defs: Dict[str, Tuple[Collector, Dict[str, int]]]
+) -> None:
     """SP402: keyed manifest fields with no read anywhere in the scan."""
     # Lazy import: the analysis package never imports the sim layer at
     # module scope (same policy as confirm_races).
     from repro.sim.store import cache_key_manifest
 
-    findings: List[PurityFinding] = []
     for role, entry in sorted(cache_key_manifest().items()):
         cls_name = str(entry["class"])
         if cls_name not in defs:
             continue  # defining file not in this scan: cannot anchor
-        path, ctx, field_lines = defs[cls_name]
+        out, field_lines = defs[cls_name]
         for field_name in entry["keyed"]:  # type: ignore[union-attr]
             if field_name in reads:
                 continue
-            line = field_lines.get(field_name, 1)
-            if ctx.suppressed(line, "SP402"):
-                continue
-            findings.append(
-                PurityFinding(
-                    path, line, 0, "SP402", Severity.WARNING,
-                    f"keyed field {cls_name}.{field_name} ({role}) is never "
-                    "read by the scanned tree: it fragments the shared "
-                    "result cache — read it, remove it, or declare it in "
-                    f"{cls_name}.FINGERPRINT_NEUTRAL_FIELDS",
-                )
+            out.add(
+                "SP402", field_lines.get(field_name, 1),
+                f"keyed field {cls_name}.{field_name} ({role}) is never "
+                "read by the scanned tree: it fragments the shared "
+                "result cache — read it, remove it, or declare it in "
+                f"{cls_name}.FINGERPRINT_NEUTRAL_FIELDS",
             )
-    return findings
 
 
 # -------------------------------------------------------- dynamic confirmer
@@ -870,29 +751,15 @@ def dataclasses_module():
     return dataclasses
 
 
-@dataclass(frozen=True)
-class PurityProbe:
-    """One dynamic mutation probe and its verdict."""
-
-    kind: str      # key-sensitivity | key-neutrality | fingerprint-invariance
-                   # | env-invariance | roundtrip
-    target: str    # e.g. "SimConfig.scale" or "REPRO_WATCHDOG @ P-2MM/Pr40"
-    ok: bool
-    detail: str = ""
-
-    def format(self) -> str:
-        verdict = "ok" if self.ok else "FAIL"
-        tail = f" ({self.detail})" if self.detail and not self.ok else ""
-        return f"  {self.kind:<24} {self.target:<44} {verdict}{tail}"
-
-
 @dataclass
 class PurityReport:
-    """Outcome of a full dynamic purity confirmation."""
+    """Outcome of a full dynamic purity confirmation.  Probe kinds:
+    key-sensitivity | key-neutrality | fingerprint-invariance |
+    env-invariance | roundtrip."""
 
     grid: List[Tuple[str, str]]
     scale: float
-    probes: List[PurityProbe] = field(default_factory=list)
+    probes: List[Probe] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -906,7 +773,9 @@ class PurityReport:
             out[p.kind] = (passed + (1 if p.ok else 0), total + 1)
         return out
 
-    def render(self) -> str:
+    def render(self, findings: Optional[Sequence[Finding]] = None) -> str:
+        """The report text; static findings are not graded (every probe
+        speaks for the whole declared domain)."""
         lines = [
             f"SimPure confirm: grid={', '.join(f'{a}/{d}' for a, d in self.grid)} "
             f"scale={self.scale:g} probes={len(self.probes)}"
@@ -943,7 +812,7 @@ def _mutate_dataclass(obj: object, field_name: str) -> Optional[object]:
     return None
 
 
-def _key_probes(profile, spec, cfg) -> List[PurityProbe]:
+def _key_probes(profile, spec, cfg) -> List[Probe]:
     """Key-sensitivity (every keyed field changes the key) and
     key-neutrality (every neutral field keeps it) — no simulations."""
     from repro.sim.store import cache_key_manifest, sim_cache_key
@@ -960,7 +829,7 @@ def _key_probes(profile, spec, cfg) -> List[PurityProbe]:
             return profile, spec, mutated
         return profile, spec, dataclasses.replace(cfg, gpu=mutated)
 
-    probes: List[PurityProbe] = []
+    probes: List[Probe] = []
     objs = {"profile": profile, "design": spec, "config": cfg, "gpu": cfg.gpu}
     for role, entry in sorted(cache_key_manifest().items()):
         obj = objs[role]
@@ -970,26 +839,26 @@ def _key_probes(profile, spec, cfg) -> List[PurityProbe]:
                 continue  # covered field-by-field by the "gpu" role
             mutated = _mutate_dataclass(obj, field_name)
             if mutated is None:
-                probes.append(PurityProbe(
+                probes.append(Probe(
                     "key-sensitivity", f"{cls}.{field_name}", False,
                     "no valid mutated value found",
                 ))
                 continue
             key = sim_cache_key(*rebuild(role, mutated))
-            probes.append(PurityProbe(
+            probes.append(Probe(
                 "key-sensitivity", f"{cls}.{field_name}", key != base,
                 "" if key != base else "mutation did not change sim_cache_key",
             ))
         for field_name in entry["neutral"]:  # type: ignore[union-attr]
             mutated = _mutate_dataclass(obj, field_name)
             if mutated is None:
-                probes.append(PurityProbe(
+                probes.append(Probe(
                     "key-neutrality", f"{cls}.{field_name}", False,
                     "no valid mutated value found",
                 ))
                 continue
             key = sim_cache_key(*rebuild(role, mutated))
-            probes.append(PurityProbe(
+            probes.append(Probe(
                 "key-neutrality", f"{cls}.{field_name}", key == base,
                 "" if key == base else "declared-neutral field changed the key",
             ))
@@ -1050,7 +919,7 @@ def confirm_purity(
         for field_name in neutral_cfg_fields:
             mutated_cfg = _mutate_dataclass(cfg, field_name)
             if mutated_cfg is None:
-                report.probes.append(PurityProbe(
+                report.probes.append(Probe(
                     "fingerprint-invariance",
                     f"SimConfig.{field_name} @ {where}", False,
                     "no valid mutated value found",
@@ -1059,7 +928,7 @@ def confirm_purity(
             diff = diff_fingerprints(
                 base_fp, simulate(app, spec, mutated_cfg).fingerprint()
             )
-            report.probes.append(PurityProbe(
+            report.probes.append(Probe(
                 "fingerprint-invariance",
                 f"SimConfig.{field_name} @ {where}",
                 not diff, "; ".join(diff),
@@ -1069,7 +938,7 @@ def confirm_purity(
         diff = diff_fingerprints(
             base_fp, simulate(mutated_app, spec, cfg).fingerprint()
         )
-        report.probes.append(PurityProbe(
+        report.probes.append(Probe(
             "fingerprint-invariance", f"AppProfile.suite @ {where}",
             not diff, "; ".join(diff),
         ))
@@ -1089,14 +958,47 @@ def confirm_purity(
                     os.environ.pop(var, None)
                 else:
                     os.environ[var] = saved
-            report.probes.append(PurityProbe(
+            report.probes.append(Probe(
                 "env-invariance", f"{var} @ {where}", not diff, "; ".join(diff),
             ))
 
         result = simulate(app, spec, cfg)
         back = SimResult.from_jsonable(json.loads(json.dumps(result.to_jsonable())))
         diff = diff_fingerprints(result.fingerprint(), back.fingerprint())
-        report.probes.append(PurityProbe(
+        report.probes.append(Probe(
             "roundtrip", f"SimResult @ {where}", not diff, "; ".join(diff),
         ))
     return report
+
+
+def _add_confirm_arguments(parser: argparse.ArgumentParser) -> None:
+    add_grid_arguments(parser, DEFAULT_CONFIRM_GRID)
+
+
+def _confirm(args: argparse.Namespace, findings: List[Finding]) -> PurityReport:
+    return confirm_purity(grid=parse_grid(args.grid, DEFAULT_CONFIRM_GRID),
+                          scale=args.scale)
+
+
+TOOL = Tool(
+    name="simpure",
+    command="purity",
+    checks="cache-key & fingerprint soundness",
+    help="SimPure: cache-key & fingerprint soundness "
+         "(static AST pass and/or mutate-and-replay confirmation)",
+    rules=PURITY_RULES,
+    parse_rule="SP001",
+    check=_check,
+    run=_run,
+    confirm=Confirmer(
+        help="mutate every keyed field (key must change) and every "
+             "excluded input (fingerprint must stay bit-identical) "
+             "over a small app/design grid",
+        add_arguments=_add_confirm_arguments,
+        run=_confirm,
+    ),
+)
+
+purity_source = TOOL.analyze_source
+run_purity = TOOL.analyze_paths
+purity_rule_table = TOOL.rule_table

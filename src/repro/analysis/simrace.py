@@ -66,17 +66,28 @@ and :mod:`repro.analysis.sanitizer` are the sibling tools.
 
 from __future__ import annotations
 
+import argparse
 import ast
-import re
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.analysis.simlint import Severity, iter_python_files
+from repro.analysis.framework import (
+    BENIGN,
+    CONFIRMED,
+    UNOBSERVED,
+    Collector,
+    Confirmer,
+    Finding,
+    Rule,
+    Severity,
+    Tool,
+)
 
 __all__ = [
     "RaceFinding",
     "ConfirmReport",
     "PermutationRun",
+    "TOOL",
     "analyze_source",
     "run_race",
     "confirm_races",
@@ -87,10 +98,8 @@ __all__ = [
     "single_assignment_defs",
 ]
 
-_SUPPRESS_RE = re.compile(r"#\s*simrace:\s*disable=([A-Za-z0-9_,\s]+)")
-
 #: (rule_id, severity, title) for every SimRace rule.
-RACE_RULES: List[Tuple[str, Severity, str]] = [
+RACE_RULES: List[Rule] = [
     ("SR201", Severity.ERROR,
      "same-cycle write/write conflict between co-scheduled handlers"),
     ("SR202", Severity.WARNING,
@@ -130,28 +139,11 @@ IGNORED_ATTRS: Set[str] = {
 
 
 @dataclass(frozen=True)
-class RaceFinding:
+class RaceFinding(Finding):
     """One potential same-cycle ordering hazard between two handlers."""
 
-    path: str
-    line: int
-    col: int
-    rule_id: str
-    severity: Severity
-    handlers: Tuple[str, str]
-    resources: Tuple[str, ...]
-    message: str
-
-    def format(self) -> str:
-        return (
-            f"{self.path}:{self.line}:{self.col}: "
-            f"{self.severity.value} {self.rule_id}: {self.message}"
-        )
-
-
-def race_rule_table() -> List[Tuple[str, str, str]]:
-    """(rule_id, severity, title) for every SimRace rule."""
-    return [(rid, sev.value, title) for rid, sev, title in RACE_RULES]
+    handlers: Tuple[str, str] = ("<module>", "<module>")
+    resources: Tuple[str, ...] = ()
 
 
 # ------------------------------------------------------------- static pass
@@ -423,27 +415,6 @@ def _transitive_summaries(
     return memo
 
 
-class _SourceContext:
-    """Per-file suppression-comment lookup (SimLint convention, with the
-    ``simrace:`` marker)."""
-
-    def __init__(self, path: str, source: str):
-        self.path = path
-        self.lines = source.splitlines()
-
-    def suppressed(self, lines: Iterable[int], rule_id: str) -> bool:
-        for line in lines:
-            if not (1 <= line <= len(self.lines)):
-                continue
-            m = _SUPPRESS_RE.search(self.lines[line - 1])
-            if m is None:
-                continue
-            rules = {r.strip().upper() for r in m.group(1).split(",")}
-            if "ALL" in rules or rule_id.upper() in rules:
-                return True
-        return False
-
-
 def _pair_conflicts(
     a: str,
     b: str,
@@ -457,9 +428,7 @@ def _pair_conflicts(
     return ww, rw
 
 
-def _analyze_class(
-    cls: ast.ClassDef, ctx: _SourceContext, select: Optional[Set[str]]
-) -> List[RaceFinding]:
+def _analyze_class(cls: ast.ClassDef, out: Collector) -> None:
     methods: Dict[str, _MethodSummary] = {}
     for item in cls.body:
         if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -467,50 +436,29 @@ def _analyze_class(
     effects = _transitive_summaries(methods)
     sites = [s for m in methods.values() for s in m.sites if s.handler in methods]
 
-    findings: List[RaceFinding] = []
     reported: Set[Tuple[str, str]] = set()
-
-    def wanted(rule_id: str) -> bool:
-        return select is None or rule_id in select
 
     def emit(
         rule_id: str,
-        severity: Severity,
         pair: Tuple[str, str],
         resources: Sequence[str],
         anchor: _ScheduleSite,
         evidence_lines: Sequence[int],
         evidence: str,
     ) -> None:
-        if not wanted(rule_id):
-            return
-        suppress_lines = list(evidence_lines) + [
-            methods[h].lineno for h in pair if h in methods
-        ]
-        if ctx.suppressed(suppress_lines, rule_id):
-            return
-        kind = "write/write" if rule_id == "SR201" else (
-            "read/write" if rule_id == "SR202" else "write/write"
-        )
-        findings.append(
-            RaceFinding(
-                path=ctx.path,
-                line=anchor.line,
-                col=anchor.col,
-                rule_id=rule_id,
-                severity=severity,
-                handlers=pair,
-                resources=tuple(resources),
-                message=(
-                    f"handlers {cls.name}.{pair[0]} and {cls.name}.{pair[1]} can "
-                    f"run at the same cycle ({evidence}) with a {kind} conflict "
-                    f"on {', '.join(resources)} — the outcome depends on "
-                    "schedule() call order; declare the order with "
-                    "schedule(..., priority=...) or restructure"
-                ),
-            )
-        )
-        reported.add(pair)
+        kind = "read/write" if rule_id == "SR202" else "write/write"
+        if out.add(
+            rule_id, anchor.line,
+            f"handlers {cls.name}.{pair[0]} and {cls.name}.{pair[1]} can "
+            f"run at the same cycle ({evidence}) with a {kind} conflict "
+            f"on {', '.join(resources)} — the outcome depends on "
+            "schedule() call order; declare the order with "
+            "schedule(..., priority=...) or restructure",
+            col=anchor.col,
+            also=[*evidence_lines, *(methods[h].lineno for h in pair if h in methods)],
+            handlers=pair, resources=tuple(resources),
+        ):
+            reported.add(pair)
 
     # -- same-site / same-key co-scheduling (SR201 / SR202) ----------------
     groups: Dict[Tuple[str, str], List[_ScheduleSite]] = {}
@@ -535,11 +483,9 @@ def _analyze_class(
                 )
                 anchor = sa if sa.line <= sb.line else sb
                 if ww:
-                    emit("SR201", Severity.ERROR, pair, ww, anchor,
-                         (sa.line, sb.line), where)
+                    emit("SR201", pair, ww, anchor, (sa.line, sb.line), where)
                 elif rw:
-                    emit("SR202", Severity.WARNING, pair, rw, anchor,
-                         (sa.line, sb.line), where)
+                    emit("SR202", pair, rw, anchor, (sa.line, sb.line), where)
 
     # -- now-derived co-scheduling (SR203) ---------------------------------
     now_sites: Dict[str, _ScheduleSite] = {}
@@ -559,52 +505,17 @@ def _analyze_class(
             if not ww:
                 continue
             emit(
-                "SR203", Severity.WARNING, pair, ww, site, (site.line,),
+                "SR203", pair, ww, site, (site.line,),
                 f"{handler} is scheduled at a now-derived time "
                 f"[{site.func}: line {site.line}] and can land in any "
                 f"same-cycle batch alongside {other}",
             )
-    findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule_id))
-    return findings
 
 
-def analyze_source(
-    source: str,
-    path: str = "<string>",
-    select: Optional[Iterable[str]] = None,
-) -> List[RaceFinding]:
-    """Run the static race analysis over one source string."""
-    wanted = {r.upper() for r in select} if select is not None else None
-    try:
-        tree = ast.parse(source, filename=path)
-    except SyntaxError as exc:
-        return [
-            RaceFinding(
-                path, exc.lineno or 1, exc.offset or 0, "SR001", Severity.ERROR,
-                ("<module>", "<module>"), (),
-                f"syntax error: {exc.msg}",
-            )
-        ]
-    ctx = _SourceContext(path, source)
-    findings: List[RaceFinding] = []
+def _check(tree: ast.Module, out: Collector) -> None:
     for node in ast.walk(tree):
         if isinstance(node, ast.ClassDef):
-            findings.extend(_analyze_class(node, ctx, wanted))
-    findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule_id))
-    return findings
-
-
-def run_race(
-    paths: Sequence[str],
-    select: Optional[Iterable[str]] = None,
-) -> List[RaceFinding]:
-    """Run the static race analysis over every Python file under ``paths``."""
-    findings: List[RaceFinding] = []
-    for file in iter_python_files(paths):
-        findings.extend(
-            analyze_source(file.read_text(encoding="utf-8"), str(file), select=select)
-        )
-    return findings
+            _analyze_class(node, out)
 
 
 # -------------------------------------------------------- dynamic confirmer
@@ -652,6 +563,8 @@ class ConfirmReport:
     def bit_identical(self) -> bool:
         return all(run.identical for run in self.runs)
 
+    ok = bit_identical
+
     def pair_observed(self, handler_a: str, handler_b: str) -> int:
         """Co-scheduled batch count for a handler pair (bare method names
         are matched against recorded qualnames)."""
@@ -665,8 +578,8 @@ class ConfirmReport:
     def verdict_for(self, finding: "RaceFinding") -> str:
         """CONFIRMED / BENIGN / UNOBSERVED for one static finding."""
         if not self.pair_observed(*finding.handlers):
-            return "UNOBSERVED"
-        return "BENIGN" if self.bit_identical else "CONFIRMED"
+            return UNOBSERVED
+        return BENIGN if self.bit_identical else CONFIRMED
 
     def render(self, findings: Optional[Sequence["RaceFinding"]] = None) -> str:
         lines = [
@@ -770,3 +683,48 @@ def shuffle_outcomes(factory: Any, k: int = 5, seed: int = 1) -> List[Any]:
         engine = Engine(shuffle_seed=seed + i)
         outcomes.append(factory(engine))
     return outcomes
+
+
+def _add_confirm_arguments(parser: argparse.ArgumentParser) -> None:
+    from repro.cli import parse_design
+    from repro.workloads.suite import APP_NAMES
+
+    parser.add_argument("--app", choices=APP_NAMES, default="P-2MM",
+                        help="application for --confirm (default: P-2MM)")
+    parser.add_argument("--design", type=parse_design, default=parse_design("Pr40"),
+                        help="design for --confirm (default: Pr40)")
+    parser.add_argument("--scale", type=float, default=0.25,
+                        help="workload scale for --confirm")
+    parser.add_argument("-k", type=int, default=5,
+                        help="number of shuffle permutations for --confirm")
+
+
+def _confirm(args: argparse.Namespace, findings: List[Finding]) -> ConfirmReport:
+    from repro.sim.config import SimConfig
+    from repro.workloads.suite import get_app
+
+    return confirm_races(get_app(args.app), args.design, SimConfig(scale=args.scale),
+                         k=args.k)
+
+
+TOOL = Tool(
+    name="simrace",
+    command="race",
+    checks="same-cycle ordering hazards",
+    help="SimRace: same-cycle ordering-hazard detection "
+         "(static AST pass and/or shadow-shuffle replay)",
+    rules=RACE_RULES,
+    parse_rule="SR001",
+    check=_check,
+    finding=RaceFinding,
+    confirm=Confirmer(
+        help="replay one workload under K same-cycle permutations "
+             "and diff bit-exact results against the FIFO baseline",
+        add_arguments=_add_confirm_arguments,
+        run=_confirm,
+    ),
+)
+
+analyze_source = TOOL.analyze_source
+run_race = TOOL.analyze_paths
+race_rule_table = TOOL.rule_table

@@ -76,13 +76,29 @@ See ``docs/analysis.md`` ("Distribution safety") for the full story.
 
 from __future__ import annotations
 
+import argparse
 import ast
-import re
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-from repro.analysis.simlint import ModuleContext, Severity, iter_python_files
+from repro.analysis.framework import (
+    BENIGN,
+    CONFIRMED,
+    UNOBSERVED,
+    Collector,
+    Confirmer,
+    Finding,
+    ModuleContext,
+    Probe,
+    Rule,
+    Severity,
+    Tool,
+    add_grid_arguments,
+    class_fields,
+    parse_grid,
+    sort_findings,
+)
 from repro.analysis.simrace import (
     MUTATING_METHODS,
     diff_fingerprints,
@@ -90,9 +106,8 @@ from repro.analysis.simrace import (
 )
 
 __all__ = [
-    "ShardFinding",
-    "ShardProbe",
     "ShardReport",
+    "TOOL",
     "WORKER_SAFE_GLOBALS",
     "WORKER_MEMO_GLOBALS",
     "DEFAULT_CONFIRM_GRID",
@@ -102,10 +117,8 @@ __all__ = [
     "shard_rule_table",
 ]
 
-_SUPPRESS_RE = re.compile(r"#\s*simshard:\s*disable=([A-Za-z0-9_,\s]+)")
-
 #: (rule_id, severity, title) for every SimShard rule.
-SHARD_RULES: List[Tuple[str, Severity, str]] = [
+SHARD_RULES: List[Rule] = [
     ("SD501", Severity.ERROR,
      "non-picklable value reaches a pool boundary"),
     ("SD502", Severity.ERROR,
@@ -204,29 +217,6 @@ _CANONICAL_FILES = {
 _RNG_PREFIXES = ("random.", "numpy.random.")
 
 
-@dataclass(frozen=True)
-class ShardFinding:
-    """One distribution-safety violation at one source location."""
-
-    path: str
-    line: int
-    col: int
-    rule_id: str
-    severity: Severity
-    message: str
-
-    def format(self) -> str:
-        return (
-            f"{self.path}:{self.line}:{self.col}: "
-            f"{self.severity.value} {self.rule_id}: {self.message}"
-        )
-
-
-def shard_rule_table() -> List[Tuple[str, str, str]]:
-    """(rule_id, severity, title) for every SimShard rule."""
-    return [(rid, sev.value, title) for rid, sev, title in SHARD_RULES]
-
-
 def in_sweep_layer(path: str) -> bool:
     """True when ``path`` belongs to the sweep/experiment/store layers
     (or is an inline ``<string>`` source, so unit-test snippets are
@@ -235,23 +225,6 @@ def in_sweep_layer(path: str) -> bool:
         return True
     norm = path.replace("\\", "/")
     return any(part in norm for part in _SWEEP_LAYER_PARTS)
-
-
-class _SourceContext:
-    """Suppression-comment lookup for one file."""
-
-    def __init__(self, path: str, source: str):
-        self.path = path
-        self.lines = source.splitlines()
-
-    def suppressed(self, line: int, rule_id: str) -> bool:
-        if not (1 <= line <= len(self.lines)):
-            return False
-        m = _SUPPRESS_RE.search(self.lines[line - 1])
-        if m is None:
-            return False
-        rules = {r.strip().upper() for r in m.group(1).split(",")}
-        return "ALL" in rules or rule_id.upper() in rules
 
 
 # --------------------------------------------------------------- module facts
@@ -869,27 +842,6 @@ def _ast_compare_false_fields(cls: ast.ClassDef) -> Set[str]:
     return out
 
 
-def _is_classvar(annotation: ast.AST) -> bool:
-    return any(
-        (isinstance(n, ast.Name) and n.id == "ClassVar")
-        or (isinstance(n, ast.Attribute) and n.attr == "ClassVar")
-        for n in ast.walk(annotation)
-    )
-
-
-def _class_fields(cls: ast.ClassDef) -> Dict[str, int]:
-    """Dataclass field name -> definition line (ClassVars excluded)."""
-    fields: Dict[str, int] = {}
-    for stmt in cls.body:
-        if (
-            isinstance(stmt, ast.AnnAssign)
-            and isinstance(stmt.target, ast.Name)
-            and not _is_classvar(stmt.annotation)
-        ):
-            fields[stmt.target.id] = stmt.lineno
-    return fields
-
-
 def _declared_payload_domains() -> Dict[str, Tuple[Set[str], str]]:
     """Payload class -> (declared field set, coverage description), from
     the live manifests (lazy import, SimPure-style)."""
@@ -913,30 +865,30 @@ def _declared_payload_domains() -> Dict[str, Tuple[Set[str], str]]:
     return domains
 
 
-def _check_payload_drift(cls: ast.ClassDef, path: str, emit) -> None:
+def _check_payload_drift(cls: ast.ClassDef, out: Collector) -> None:
     """SD506: diff one scanned payload-class definition against the
     runtime-declared domain."""
     domains = _declared_payload_domains()
     if cls.name not in domains:
         return
     declared, coverage = domains[cls.name]
-    ast_fields = _class_fields(cls)
+    ast_fields = class_fields(cls)
     for name, line in sorted(ast_fields.items(), key=lambda kv: kv[1]):
         if name not in declared:
-            emit(
-                _LinePin(line), "SD506",
+            out.add(
+                "SD506", line,
                 f"field '{cls.name}.{name}' is outside the declared "
                 f"pool-boundary payload domain ({coverage}): pickled grid "
                 "points, cache keys and serialized results will drift — "
                 "key it, declare it neutral/non-identity, and extend the "
                 "serialization coverage",
             )
-    norm = path.replace("\\", "/")
+    norm = out.path.replace("\\", "/")
     canonical = _CANONICAL_FILES.get(cls.name, "")
     if canonical and norm.endswith(canonical):
         for name in sorted(declared - set(ast_fields)):
-            emit(
-                _LinePin(cls.lineno), "SD506",
+            out.add(
+                "SD506", cls.lineno,
                 f"declared payload field '{cls.name}.{name}' is missing "
                 "from the class definition: the manifest is stale relative "
                 "to the scanned tree",
@@ -948,56 +900,25 @@ def _check_payload_drift(cls: ast.ClassDef, path: str, emit) -> None:
         non_identity = set(identity_manifest()["non_identity"])
         for name in sorted(_ast_compare_false_fields(cls) & set(ast_fields)):
             if name not in non_identity:
-                emit(
-                    _LinePin(ast_fields[name]), "SD506",
+                out.add(
+                    "SD506", ast_fields[name],
                     f"'{cls.name}.{name}' is compare=False but not in "
                     "identity_manifest()['non_identity']: fingerprint/"
                     "to_jsonable exclusion coverage is missing",
                 )
 
 
-class _LinePin:
-    """Minimal node stand-in carrying just a source position."""
-
-    def __init__(self, line: int, col: int = 0):
-        self.lineno = line
-        self.col_offset = col
-
-
 # ------------------------------------------------------------- orchestration
 
 
-def _module_findings(
-    tree: ast.Module,
-    path: str,
-    source: str,
-    wanted: Optional[Set[str]],
-) -> List[ShardFinding]:
+def _check(tree: ast.Module, out: Collector) -> None:
     """All SimShard findings for one module."""
-    if not in_sweep_layer(path):
-        return []
-    ctx = _SourceContext(path, source)
-    mctx = ModuleContext(path, source, tree)
+    if not in_sweep_layer(out.path):
+        return
+    mctx = ModuleContext(tree)
     class_names = {
         n.name for n in ast.walk(tree) if isinstance(n, ast.ClassDef)
     }
-    findings: List[ShardFinding] = []
-    severities = {rid: sev for rid, sev, _ in SHARD_RULES}
-
-    def emit(node, rule_id: str, message: str,
-             severity: Optional[Severity] = None) -> None:
-        if wanted is not None and rule_id not in wanted:
-            return
-        line = getattr(node, "lineno", 1)
-        if ctx.suppressed(line, rule_id):
-            return
-        findings.append(
-            ShardFinding(
-                path, line, getattr(node, "col_offset", 0),
-                rule_id, severity or severities[rule_id], message,
-            )
-        )
-
     boundaries = _boundaries(tree, mctx)
     module_fns = _module_functions(tree)
     workers = _worker_names(boundaries, module_fns) | (
@@ -1006,63 +927,26 @@ def _module_findings(
     reachable = _reachable_functions(workers, module_fns)
     mutable_globals = _mutable_module_globals(tree)
 
-    if wanted is None or "SD501" in wanted:
-        _check_pool_payloads(boundaries, mctx, emit)
+    if out.wants("SD501"):
+        _check_pool_payloads(boundaries, mctx, out.at)
         _check_worker_returns(
-            {n: reachable[n] for n in workers if n in reachable}, mctx, emit
+            {n: reachable[n] for n in workers if n in reachable}, mctx, out.at
         )
-    if wanted is None or "SD502" in wanted:
-        _check_worker_globals(reachable, mutable_globals, emit)
-    if wanted is None or "SD503" in wanted:
-        _check_fork_safety(reachable, boundaries, module_fns, mctx, emit)
-    if wanted is None or "SD504" in wanted:
-        _check_grid_construction(tree, boundaries, class_names, mctx, emit)
-    if wanted is None or "SD505" in wanted:
-        _check_merge_order(tree, boundaries, mctx, emit)
-    if wanted is None or "SD506" in wanted:
+    if out.wants("SD502"):
+        _check_worker_globals(reachable, mutable_globals, out.at)
+    if out.wants("SD503"):
+        _check_fork_safety(reachable, boundaries, module_fns, mctx, out.at)
+    if out.wants("SD504"):
+        _check_grid_construction(tree, boundaries, class_names, mctx, out.at)
+    if out.wants("SD505"):
+        _check_merge_order(tree, boundaries, mctx, out.at)
+    if out.wants("SD506"):
         for node in ast.walk(tree):
             if (
                 isinstance(node, ast.ClassDef)
                 and node.name in (_PAYLOAD_CLASS_NAMES | {"SimResult"})
             ):
-                _check_payload_drift(node, path, emit)
-    return findings
-
-
-def shard_source(
-    source: str,
-    path: str = "<string>",
-    select: Optional[Iterable[str]] = None,
-) -> List[ShardFinding]:
-    """Run the SimShard rules over one source string."""
-    wanted = {r.upper() for r in select} if select is not None else None
-    try:
-        tree = ast.parse(source, filename=path)
-    except SyntaxError as exc:
-        return [
-            ShardFinding(
-                path, exc.lineno or 1, exc.offset or 0, "SD001",
-                Severity.ERROR, f"syntax error: {exc.msg}",
-            )
-        ]
-    findings = _module_findings(tree, path, source, wanted)
-    findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule_id))
-    return findings
-
-
-def run_shard(
-    paths: Sequence[str],
-    select: Optional[Iterable[str]] = None,
-) -> List[ShardFinding]:
-    """Run the full SimShard static pass over every Python file under
-    ``paths``."""
-    findings: List[ShardFinding] = []
-    for file in iter_python_files(paths):
-        findings.extend(
-            shard_source(file.read_text(encoding="utf-8"), str(file), select)
-        )
-    findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule_id))
-    return findings
+                _check_payload_drift(node, out)
 
 
 # -------------------------------------------------------- dynamic confirmer
@@ -1089,30 +973,16 @@ _EXERCISED_PARTS = (
 )
 
 
-@dataclass(frozen=True)
-class ShardProbe:
-    """One dynamic distribution probe and its verdict."""
-
-    kind: str      # pre-flight | pickle-roundtrip | result-roundtrip
-                   # | context-identity | fleet-reuse
-    target: str    # e.g. "grid point P-2MM/Pr40" or "spawn-pool vs serial"
-    ok: bool
-    detail: str = ""
-
-    def format(self) -> str:
-        verdict = "ok" if self.ok else "FAIL"
-        tail = f" ({self.detail})" if self.detail and not self.ok else ""
-        return f"  {self.kind:<18} {self.target:<44} {verdict}{tail}"
-
-
 @dataclass
 class ShardReport:
-    """Outcome of a full dynamic distribution confirmation."""
+    """Outcome of a full dynamic distribution confirmation.  Probe kinds:
+    pre-flight | pickle-roundtrip | result-roundtrip | context-identity |
+    fleet-reuse."""
 
     grid: List[Tuple[str, str]]
     scale: float
     contexts: List[str] = field(default_factory=list)
-    probes: List[ShardProbe] = field(default_factory=list)
+    probes: List[Probe] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -1126,15 +996,15 @@ class ShardReport:
             out[p.kind] = (passed + (1 if p.ok else 0), total + 1)
         return out
 
-    def verdict_for(self, finding: ShardFinding) -> str:
+    def verdict_for(self, finding: Finding) -> str:
         """CONFIRMED / BENIGN / UNOBSERVED for one static finding: the
         replay only speaks for modules it actually drove."""
         norm = finding.path.replace("\\", "/")
         if not any(part in norm for part in _EXERCISED_PARTS):
-            return "UNOBSERVED"
-        return "BENIGN" if self.ok else "CONFIRMED"
+            return UNOBSERVED
+        return BENIGN if self.ok else CONFIRMED
 
-    def render(self, findings: Optional[Sequence[ShardFinding]] = None) -> str:
+    def render(self, findings: Optional[Sequence[Finding]] = None) -> str:
         lines = [
             f"SimShard confirm: grid="
             f"{', '.join(f'{a}/{d}' for a, d in self.grid)} "
@@ -1142,7 +1012,7 @@ class ShardReport:
             f"{'+'.join(self.contexts) if self.contexts else 'none'} "
             f"probes={len(self.probes)}"
         ]
-        lines.extend(p.format() for p in self.probes if not p.ok)
+        lines.extend(p.format(18) for p in self.probes if not p.ok)
         for kind, (passed, total) in sorted(self.counts().items()):
             lines.append(f"  {kind}: {passed}/{total} ok")
         if findings:
@@ -1225,11 +1095,11 @@ def confirm_shard(
 
     try:
         validate_grid(resolved)
-        report.probes.append(ShardProbe(
+        report.probes.append(Probe(
             "pre-flight", f"validate_grid[{len(resolved)} points]", True,
         ))
     except GridValidationError as exc:
-        report.probes.append(ShardProbe(
+        report.probes.append(Probe(
             "pre-flight", f"validate_grid[{len(resolved)} points]", False,
             "; ".join(exc.problems[:3]),
         ))
@@ -1242,7 +1112,7 @@ def confirm_shard(
         )
         same_obj = back == point
         same_key = sim_cache_key(*back) == sim_cache_key(*point)
-        report.probes.append(ShardProbe(
+        report.probes.append(Probe(
             "pickle-roundtrip", f"grid point {where}",
             same_obj and same_key,
             "" if same_obj and same_key else (
@@ -1257,7 +1127,7 @@ def confirm_shard(
     for res, (app_name, design) in zip(base_results, points):
         back = pickle.loads(pickle.dumps(res, protocol=pickle.HIGHEST_PROTOCOL))
         diff = diff_fingerprints(res.fingerprint(), back.fingerprint())
-        report.probes.append(ShardProbe(
+        report.probes.append(Probe(
             "result-roundtrip", f"SimResult @ {app_name}/{design}",
             not diff, "; ".join(diff),
         ))
@@ -1276,7 +1146,7 @@ def confirm_shard(
             problems.append(
                 f"sims_run {par.sims_run} != serial {serial.sims_run}"
             )
-        report.probes.append(ShardProbe(
+        report.probes.append(Probe(
             "context-identity", f"{ctx_name}-pool vs serial",
             not problems, "; ".join(problems),
         ))
@@ -1295,8 +1165,48 @@ def confirm_shard(
             problems.append("warm re-acquire cold-started a new pool")
         if not warm.fleet_stats.get("warm_acquires", 0.0):
             problems.append("fleet pool was not reused")
-        report.probes.append(ShardProbe(
+        report.probes.append(Probe(
             "fleet-reuse", f"warm {ctx_name}-fleet vs serial",
             not problems, "; ".join(problems),
         ))
     return report
+
+
+def _add_confirm_arguments(parser: argparse.ArgumentParser) -> None:
+    add_grid_arguments(parser, DEFAULT_CONFIRM_GRID)
+    parser.add_argument("--jobs", type=int, default=2,
+                        help="pool width for the --confirm replays (default 2)")
+
+
+def _confirm(args: argparse.Namespace, findings: List[Finding]) -> ShardReport:
+    return confirm_shard(grid=parse_grid(args.grid, DEFAULT_CONFIRM_GRID),
+                         scale=args.scale, jobs=args.jobs)
+
+
+def _run(paths: Sequence[str], wanted: Optional[Set[str]]) -> List[Finding]:
+    """The per-file pass over every file, findings sorted tree-wide."""
+    return sort_findings(TOOL.check_paths(paths, wanted))
+
+
+TOOL = Tool(
+    name="simshard",
+    command="shard",
+    checks="distribution safety",
+    help="SimShard: distribution safety of the sweep layer "
+         "(static AST pass and/or serial/fork/spawn replay confirmation)",
+    rules=SHARD_RULES,
+    parse_rule="SD001",
+    check=_check,
+    run=_run,
+    confirm=Confirmer(
+        help="pickle-roundtrip every grid point (cache key must "
+             "survive) and replay a small grid serial vs fork-pool "
+             "vs spawn-pool, requiring bit-identical fingerprints",
+        add_arguments=_add_confirm_arguments,
+        run=_confirm,
+    ),
+)
+
+shard_source = TOOL.analyze_source
+run_shard = TOOL.analyze_paths
+shard_rule_table = TOOL.rule_table

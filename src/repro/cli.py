@@ -33,10 +33,12 @@ Installed as the ``repro`` console script; also runnable as
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 from typing import List, Optional
 
+from repro.analysis.framework import Finding, Tool, UsageError, tally, tools
 from repro.analysis.tables import format_table
 from repro.core.designs import DesignSpec
 from repro.sim.config import SimConfig
@@ -275,397 +277,76 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _cmd_lint(args) -> int:
+def _target_paths(paths: List[str]) -> List[str]:
+    """The analyzer paths, defaulting to the repro package sources;
+    :class:`UsageError` names any that do not exist."""
     import os
 
-    from repro.analysis.simlint import Severity, rule_table, run_lint
-
-    if args.list_rules:
-        for rule_id, severity, title in rule_table():
-            print(f"{rule_id}  {severity:<7}  {title}")
-        return 0
-    if args.select:
-        known = {rule_id for rule_id, _, _ in rule_table()}
-        unknown = [r for r in args.select if r not in known]
-        if unknown:
-            print(
-                f"simlint: unknown rule(s) {', '.join(unknown)} "
-                f"(see `repro lint --list-rules`)",
-                file=sys.stderr,
-            )
-            return 2
-    paths = args.paths
-    if not paths:
-        # Default to linting the installed package sources themselves.
-        paths = [os.path.dirname(os.path.abspath(__file__))]
+    paths = paths or [os.path.dirname(os.path.abspath(__file__))]
     missing = [p for p in paths if not os.path.exists(p)]
     if missing:
-        print(f"simlint: no such path: {', '.join(missing)}", file=sys.stderr)
+        raise UsageError(f"no such path: {', '.join(missing)}")
+    return paths
+
+
+def _cmd_tool(tool: Tool, args) -> int:
+    """One analyzer subcommand: the static pass and/or the confirm mode."""
+    if args.list_rules:
+        for rule_id, severity, title in tool.rule_table():
+            print(f"{rule_id}  {severity:<7}  {title}")
+        return 0
+    confirm = tool.confirm if tool.confirm is not None and args.confirm else None
+    exit_code = 0
+    findings: List[Finding] = []
+    try:
+        select = tool.selection(args.select)
+        if confirm is None or args.static:
+            findings = tool.analyze_paths(_target_paths(args.paths), select)
+            for f in findings:
+                print(f.format())
+            errors, warnings, failed = tally(findings, args.strict)
+            if findings:
+                print(f"{tool.name}: {errors} error(s), {warnings} warning(s)",
+                      file=sys.stderr)
+            if failed:
+                exit_code = 1
+        if confirm is not None:
+            report = confirm.run(args, findings)
+            print(report.render(findings))
+            if not report.ok:
+                exit_code = 1
+    except UsageError as exc:
+        print(f"{tool.name}: {exc}", file=sys.stderr)
         return 2
-    findings = run_lint(paths, select=args.select or None)
-    for f in findings:
-        print(f.format())
-    errors = sum(1 for f in findings if f.severity is Severity.ERROR)
-    warnings = len(findings) - errors
-    if findings:
-        print(
-            f"simlint: {errors} error(s), {warnings} warning(s)", file=sys.stderr
-        )
-    if errors or (args.strict and findings):
-        return 1
-    return 0
-
-
-def _cmd_race(args) -> int:
-    import os
-
-    from repro.analysis.simlint import Severity
-    from repro.analysis.simrace import confirm_races, race_rule_table, run_race
-
-    if args.list_rules:
-        for rule_id, severity, title in race_rule_table():
-            print(f"{rule_id}  {severity:<7}  {title}")
-        return 0
-    if args.select:
-        known = {rule_id for rule_id, _, _ in race_rule_table()}
-        unknown = [r for r in args.select if r not in known]
-        if unknown:
-            print(
-                f"simrace: unknown rule(s) {', '.join(unknown)} "
-                f"(see `repro race --list-rules`)",
-                file=sys.stderr,
-            )
-            return 2
-    run_static = args.static or not args.confirm
-    exit_code = 0
-    findings = []
-    if run_static:
-        paths = args.paths
-        if not paths:
-            paths = [os.path.dirname(os.path.abspath(__file__))]
-        missing = [p for p in paths if not os.path.exists(p)]
-        if missing:
-            print(f"simrace: no such path: {', '.join(missing)}", file=sys.stderr)
-            return 2
-        findings = run_race(paths, select=args.select or None)
-        for f in findings:
-            print(f.format())
-        errors = sum(1 for f in findings if f.severity is Severity.ERROR)
-        warnings = len(findings) - errors
-        if findings:
-            print(
-                f"simrace: {errors} error(s), {warnings} warning(s)",
-                file=sys.stderr,
-            )
-        if errors or (args.strict and findings):
-            exit_code = 1
-    if args.confirm:
-        app = get_app(args.app)
-        cfg = SimConfig(scale=args.scale)
-        report = confirm_races(app, args.design, cfg, k=args.k, findings=findings)
-        print(report.render(findings))
-        if not report.bit_identical:
-            exit_code = 1
-    return exit_code
-
-
-def _cmd_flow(args) -> int:
-    import os
-
-    from repro.analysis.simflow import flow_rule_table, run_flow
-    from repro.analysis.simlint import Severity
-
-    if args.list_rules:
-        for rule_id, severity, title in flow_rule_table():
-            print(f"{rule_id}  {severity:<7}  {title}")
-        return 0
-    if args.select:
-        known = {rule_id for rule_id, _, _ in flow_rule_table()}
-        unknown = [r for r in args.select if r not in known]
-        if unknown:
-            print(
-                f"simflow: unknown rule(s) {', '.join(unknown)} "
-                f"(see `repro flow --list-rules`)",
-                file=sys.stderr,
-            )
-            return 2
-    paths = args.paths
-    if not paths:
-        paths = [os.path.dirname(os.path.abspath(__file__))]
-    missing = [p for p in paths if not os.path.exists(p)]
-    if missing:
-        print(f"simflow: no such path: {', '.join(missing)}", file=sys.stderr)
-        return 2
-    findings = run_flow(paths, select=args.select or None)
-    for f in findings:
-        print(f.format())
-    errors = sum(1 for f in findings if f.severity is Severity.ERROR)
-    warnings = len(findings) - errors
-    if findings:
-        print(
-            f"simflow: {errors} error(s), {warnings} warning(s)", file=sys.stderr
-        )
-    if errors or (args.strict and findings):
-        return 1
-    return 0
-
-
-def _cmd_purity(args) -> int:
-    import os
-
-    from repro.analysis.simlint import Severity
-    from repro.analysis.simpure import (
-        DEFAULT_CONFIRM_GRID,
-        confirm_purity,
-        purity_rule_table,
-        run_purity,
-    )
-
-    if args.list_rules:
-        for rule_id, severity, title in purity_rule_table():
-            print(f"{rule_id}  {severity:<7}  {title}")
-        return 0
-    if args.select:
-        known = {rule_id for rule_id, _, _ in purity_rule_table()}
-        unknown = [r for r in args.select if r not in known]
-        if unknown:
-            print(
-                f"simpure: unknown rule(s) {', '.join(unknown)} "
-                f"(see `repro purity --list-rules`)",
-                file=sys.stderr,
-            )
-            return 2
-    run_static = args.static or not args.confirm
-    exit_code = 0
-    if run_static:
-        paths = args.paths
-        if not paths:
-            paths = [os.path.dirname(os.path.abspath(__file__))]
-        missing = [p for p in paths if not os.path.exists(p)]
-        if missing:
-            print(f"simpure: no such path: {', '.join(missing)}", file=sys.stderr)
-            return 2
-        findings = run_purity(paths, select=args.select or None)
-        for f in findings:
-            print(f.format())
-        errors = sum(1 for f in findings if f.severity is Severity.ERROR)
-        warnings = len(findings) - errors
-        if findings:
-            print(
-                f"simpure: {errors} error(s), {warnings} warning(s)",
-                file=sys.stderr,
-            )
-        if errors or (args.strict and findings):
-            exit_code = 1
-    if args.confirm:
-        grid = list(DEFAULT_CONFIRM_GRID)
-        if args.grid:
-            grid = []
-            for entry in args.grid:
-                app_name, _, design = entry.partition("/")
-                if not design:
-                    print(
-                        f"simpure: bad --grid entry {entry!r} "
-                        "(expected APP/DESIGN, e.g. P-2MM/Pr40)",
-                        file=sys.stderr,
-                    )
-                    return 2
-                parse_design(design)  # fail fast on unknown designs
-                grid.append((app_name, design))
-        report = confirm_purity(grid=grid, scale=args.scale)
-        print(report.render())
-        if not report.ok:
-            exit_code = 1
-    return exit_code
-
-
-def _cmd_shard(args) -> int:
-    import os
-
-    from repro.analysis.simlint import Severity
-    from repro.analysis.simshard import (
-        DEFAULT_CONFIRM_GRID,
-        confirm_shard,
-        run_shard,
-        shard_rule_table,
-    )
-
-    if args.list_rules:
-        for rule_id, severity, title in shard_rule_table():
-            print(f"{rule_id}  {severity:<7}  {title}")
-        return 0
-    if args.select:
-        known = {rule_id for rule_id, _, _ in shard_rule_table()}
-        unknown = [r for r in args.select if r not in known]
-        if unknown:
-            print(
-                f"simshard: unknown rule(s) {', '.join(unknown)} "
-                f"(see `repro shard --list-rules`)",
-                file=sys.stderr,
-            )
-            return 2
-    run_static = args.static or not args.confirm
-    exit_code = 0
-    findings = []
-    if run_static:
-        paths = args.paths
-        if not paths:
-            paths = [os.path.dirname(os.path.abspath(__file__))]
-        missing = [p for p in paths if not os.path.exists(p)]
-        if missing:
-            print(f"simshard: no such path: {', '.join(missing)}", file=sys.stderr)
-            return 2
-        findings = run_shard(paths, select=args.select or None)
-        for f in findings:
-            print(f.format())
-        errors = sum(1 for f in findings if f.severity is Severity.ERROR)
-        warnings = len(findings) - errors
-        if findings:
-            print(
-                f"simshard: {errors} error(s), {warnings} warning(s)",
-                file=sys.stderr,
-            )
-        if errors or (args.strict and findings):
-            exit_code = 1
-    if args.confirm:
-        grid = list(DEFAULT_CONFIRM_GRID)
-        if args.grid:
-            grid = []
-            for entry in args.grid:
-                app_name, _, design = entry.partition("/")
-                if not design:
-                    print(
-                        f"simshard: bad --grid entry {entry!r} "
-                        "(expected APP/DESIGN, e.g. P-2MM/Pr40)",
-                        file=sys.stderr,
-                    )
-                    return 2
-                parse_design(design)  # fail fast on unknown designs
-                grid.append((app_name, design))
-        report = confirm_shard(grid=grid, scale=args.scale, jobs=args.jobs)
-        print(report.render(findings))
-        if not report.ok:
-            exit_code = 1
-    return exit_code
-
-
-def _cmd_heat(args) -> int:
-    import os
-
-    from repro.analysis.simheat import (
-        DEFAULT_CONFIRM_GRID,
-        confirm_heat,
-        heat_rule_table,
-        run_heat,
-    )
-    from repro.analysis.simlint import Severity
-
-    if args.list_rules:
-        for rule_id, severity, title in heat_rule_table():
-            print(f"{rule_id}  {severity:<7}  {title}")
-        return 0
-    if args.select:
-        known = {rule_id for rule_id, _, _ in heat_rule_table()}
-        unknown = [r for r in args.select if r not in known]
-        if unknown:
-            print(
-                f"simheat: unknown rule(s) {', '.join(unknown)} "
-                f"(see `repro heat --list-rules`)",
-                file=sys.stderr,
-            )
-            return 2
-    run_static = args.static or not args.confirm
-    exit_code = 0
-    findings = []
-    if run_static:
-        paths = args.paths
-        if not paths:
-            paths = [os.path.dirname(os.path.abspath(__file__))]
-        missing = [p for p in paths if not os.path.exists(p)]
-        if missing:
-            print(f"simheat: no such path: {', '.join(missing)}", file=sys.stderr)
-            return 2
-        findings = run_heat(paths, select=args.select or None)
-        for f in findings:
-            print(f.format())
-        errors = sum(1 for f in findings if f.severity is Severity.ERROR)
-        warnings = len(findings) - errors
-        if findings:
-            print(
-                f"simheat: {errors} error(s), {warnings} warning(s)",
-                file=sys.stderr,
-            )
-        if errors or (args.strict and findings):
-            exit_code = 1
-    if args.confirm:
-        grid = list(DEFAULT_CONFIRM_GRID)
-        if args.grid:
-            grid = []
-            for entry in args.grid:
-                app_name, _, design = entry.partition("/")
-                if not design:
-                    print(
-                        f"simheat: bad --grid entry {entry!r} "
-                        "(expected APP/DESIGN, e.g. P-2MM/Sh40+C10)",
-                        file=sys.stderr,
-                    )
-                    return 2
-                parse_design(design)  # fail fast on unknown designs
-                grid.append((app_name, design))
-        report = confirm_heat(grid=grid, scale=args.scale,
-                              trace_alloc=not args.no_alloc)
-        print(report.render(findings))
-        if not report.ok:
-            exit_code = 1
     return exit_code
 
 
 def _cmd_analyze(args) -> int:
     import json
-    import os
 
-    from repro.analysis.simflow import run_flow
-    from repro.analysis.simheat import run_heat
-    from repro.analysis.simlint import Severity, run_lint
-    from repro.analysis.simpure import run_purity
-    from repro.analysis.simrace import run_race
-    from repro.analysis.simshard import run_shard
-
-    paths = args.paths
-    if not paths:
-        paths = [os.path.dirname(os.path.abspath(__file__))]
-    missing = [p for p in paths if not os.path.exists(p)]
-    if missing:
-        print(f"analyze: no such path: {', '.join(missing)}", file=sys.stderr)
+    try:
+        paths = _target_paths(args.paths)
+    except UsageError as exc:
+        print(f"analyze: {exc}", file=sys.stderr)
         return 2
-    tools = (
-        ("simlint", "determinism/resource hygiene", run_lint),
-        ("simrace", "same-cycle ordering hazards", run_race),
-        ("simflow", "resource-flow liveness", run_flow),
-        ("simpure", "cache-key & fingerprint soundness", run_purity),
-        ("simshard", "distribution safety", run_shard),
-        ("simheat", "twin-path & hot-path hygiene", run_heat),
-    )
     rows = []
     report = []
     exit_code = 0
-    for name, what, runner in tools:
-        findings = runner(paths)
+    for tool in tools():
+        findings = tool.analyze_paths(paths)
         if not args.json:
             for f in findings:
                 print(f.format())
-        errors = sum(1 for f in findings if f.severity is Severity.ERROR)
-        warnings = len(findings) - errors
-        failed = bool(errors or (args.strict and findings))
+        errors, warnings, failed = tally(findings, args.strict)
         if failed:
             exit_code = 1
         rows.append([
-            name, what, str(errors), str(warnings),
+            tool.name, tool.checks, str(errors), str(warnings),
             "FAIL" if failed else "ok",
         ])
         report.append({
-            "tool": name,
-            "checks": what,
+            "tool": tool.name,
+            "checks": tool.checks,
             "errors": errors,
             "warnings": warnings,
             "status": "fail" if failed else "ok",
@@ -700,6 +381,25 @@ def _cmd_analyze(args) -> int:
             ["tool", "checks", "errors", "warnings", "status"], rows,
             title=f"repro analyze: {' '.join(paths)}"))
     return exit_code
+
+
+def _add_tool_parser(sub, tool: Tool) -> None:
+    """The subcommand for one analyzer, generated from its tool record."""
+    p = sub.add_parser(tool.command, help=tool.help)
+    p.add_argument("paths", nargs="*",
+                   help="files/directories to analyze (default: the repro package)")
+    if tool.confirm is not None:
+        p.add_argument("--static", action="store_true",
+                       help="run the static pass (default when --confirm is not given)")
+        p.add_argument("--confirm", action="store_true", help=tool.confirm.help)
+        tool.confirm.add_arguments(p)
+    p.add_argument("--select", action="append", metavar="RULE",
+                   help="only run the given rule ID (repeatable, any case)")
+    p.add_argument("--strict", action="store_true",
+                   help="exit nonzero on warnings too, not only errors")
+    p.add_argument("--list-rules", action="store_true",
+                   help="list the registered rules and exit")
+    p.set_defaults(func=functools.partial(_cmd_tool, tool))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -760,150 +460,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_sweep_flags(p)
     p.set_defaults(func=_cmd_sweep)
 
-    p = sub.add_parser("lint", help="SimLint: simulator-specific static analysis")
-    p.add_argument("paths", nargs="*",
-                   help="files/directories to lint (default: the repro package)")
-    p.add_argument("--select", action="append", metavar="RULE",
-                   help="only run the given rule ID (repeatable)")
-    p.add_argument("--strict", action="store_true",
-                   help="exit nonzero on warnings too, not only errors")
-    p.add_argument("--list-rules", action="store_true",
-                   help="list the registered rules and exit")
-    p.set_defaults(func=_cmd_lint)
-
-    p = sub.add_parser(
-        "race",
-        help="SimRace: same-cycle ordering-hazard detection "
-             "(static AST pass and/or shadow-shuffle replay)",
-    )
-    p.add_argument("paths", nargs="*",
-                   help="files/directories for --static (default: the repro package)")
-    p.add_argument("--static", action="store_true",
-                   help="run the static co-scheduling conflict pass "
-                        "(default when --confirm is not given)")
-    p.add_argument("--confirm", action="store_true",
-                   help="replay one workload under K same-cycle permutations "
-                        "and diff bit-exact results against the FIFO baseline")
-    p.add_argument("--app", choices=APP_NAMES, default="P-2MM",
-                   help="application for --confirm (default: P-2MM)")
-    p.add_argument("--design", type=parse_design, default=DesignSpec.private(40),
-                   help="design for --confirm (default: Pr40)")
-    p.add_argument("--scale", type=float, default=0.25,
-                   help="workload scale for --confirm")
-    p.add_argument("-k", type=int, default=5,
-                   help="number of shuffle permutations for --confirm")
-    p.add_argument("--select", action="append", metavar="RULE",
-                   help="only run the given SR rule ID (repeatable)")
-    p.add_argument("--strict", action="store_true",
-                   help="exit nonzero on warnings too, not only errors")
-    p.add_argument("--list-rules", action="store_true",
-                   help="list the registered SimRace rules and exit")
-    p.set_defaults(func=_cmd_race)
-
-    p = sub.add_parser(
-        "flow",
-        help="SimFlow: static resource-flow liveness analysis "
-             "(leaks, stray releases, acquire-order cycles)",
-    )
-    p.add_argument("paths", nargs="*",
-                   help="files/directories to analyze (default: the repro package)")
-    p.add_argument("--select", action="append", metavar="RULE",
-                   help="only run the given SF rule ID (repeatable)")
-    p.add_argument("--strict", action="store_true",
-                   help="exit nonzero on warnings too, not only errors")
-    p.add_argument("--list-rules", action="store_true",
-                   help="list the registered SimFlow rules and exit")
-    p.set_defaults(func=_cmd_flow)
-
-    p = sub.add_parser(
-        "purity",
-        help="SimPure: cache-key & fingerprint soundness "
-             "(static AST pass and/or mutate-and-replay confirmation)",
-    )
-    p.add_argument("paths", nargs="*",
-                   help="files/directories for --static (default: the repro package)")
-    p.add_argument("--static", action="store_true",
-                   help="run the static key-soundness pass "
-                        "(default when --confirm is not given)")
-    p.add_argument("--confirm", action="store_true",
-                   help="mutate every keyed field (key must change) and every "
-                        "excluded input (fingerprint must stay bit-identical) "
-                        "over a small app/design grid")
-    p.add_argument("--grid", action="append", metavar="APP/DESIGN",
-                   help="grid point for --confirm, e.g. P-2MM/Pr40 "
-                        "(repeatable; default: P-2MM/Pr40, T-AlexNet/Sh40+C10, "
-                        "C-BLK/Baseline)")
-    p.add_argument("--scale", type=float, default=0.1,
-                   help="workload scale for --confirm")
-    p.add_argument("--select", action="append", metavar="RULE",
-                   help="only run the given SP rule ID (repeatable)")
-    p.add_argument("--strict", action="store_true",
-                   help="exit nonzero on warnings too, not only errors")
-    p.add_argument("--list-rules", action="store_true",
-                   help="list the registered SimPure rules and exit")
-    p.set_defaults(func=_cmd_purity)
-
-    p = sub.add_parser(
-        "shard",
-        help="SimShard: distribution safety of the sweep layer "
-             "(static AST pass and/or serial/fork/spawn replay confirmation)",
-    )
-    p.add_argument("paths", nargs="*",
-                   help="files/directories for --static (default: the repro package)")
-    p.add_argument("--static", action="store_true",
-                   help="run the static distribution-safety pass "
-                        "(default when --confirm is not given)")
-    p.add_argument("--confirm", action="store_true",
-                   help="pickle-roundtrip every grid point (cache key must "
-                        "survive) and replay a small grid serial vs fork-pool "
-                        "vs spawn-pool, requiring bit-identical fingerprints")
-    p.add_argument("--grid", action="append", metavar="APP/DESIGN",
-                   help="grid point for --confirm, e.g. P-2MM/Pr40 "
-                        "(repeatable; default: P-2MM/Pr40, T-AlexNet/Sh40+C10, "
-                        "C-BLK/Baseline, C-NN/Sh40)")
-    p.add_argument("--scale", type=float, default=0.1,
-                   help="workload scale for --confirm")
-    p.add_argument("--jobs", type=int, default=2,
-                   help="pool width for the --confirm replays (default 2)")
-    p.add_argument("--select", action="append", metavar="RULE",
-                   help="only run the given SD rule ID (repeatable)")
-    p.add_argument("--strict", action="store_true",
-                   help="exit nonzero on warnings too, not only errors")
-    p.add_argument("--list-rules", action="store_true",
-                   help="list the registered SimShard rules and exit")
-    p.set_defaults(func=_cmd_shard)
-
-    p = sub.add_parser(
-        "heat",
-        help="SimHeat: twin-path drift & hot-path performance hygiene "
-             "(static AST pass and/or force-fast vs force-slow replay "
-             "confirmation)",
-    )
-    p.add_argument("paths", nargs="*",
-                   help="files/directories for --static (default: the repro package)")
-    p.add_argument("--static", action="store_true",
-                   help="run the static twin-path drift / hot-path pass "
-                        "(default when --confirm is not given)")
-    p.add_argument("--confirm", action="store_true",
-                   help="replay a small grid with the hot path forced on and "
-                        "forced off, requiring bit-identical fingerprints, "
-                        "and alloc-profile the hot handlers")
-    p.add_argument("--grid", action="append", metavar="APP/DESIGN",
-                   help="grid point for --confirm, e.g. P-2MM/Sh40+C10 "
-                        "(repeatable; default: T-AlexNet/Sh40, "
-                        "P-2MM/Sh40+C10, C-SP/Pr40, C-BLK/Baseline)")
-    p.add_argument("--scale", type=float, default=0.1,
-                   help="workload scale for --confirm")
-    p.add_argument("--no-alloc", action="store_true",
-                   help="skip the tracemalloc allocation profile in --confirm "
-                        "(twin replays only; much faster)")
-    p.add_argument("--select", action="append", metavar="RULE",
-                   help="only run the given SH rule ID (repeatable)")
-    p.add_argument("--strict", action="store_true",
-                   help="exit nonzero on warnings too, not only errors")
-    p.add_argument("--list-rules", action="store_true",
-                   help="list the registered SimHeat rules and exit")
-    p.set_defaults(func=_cmd_heat)
+    for tool in tools():
+        _add_tool_parser(sub, tool)
 
     p = sub.add_parser(
         "analyze",

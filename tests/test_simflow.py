@@ -8,7 +8,7 @@ from repro.analysis.simflow import (
     flow_source,
     run_flow,
 )
-from repro.analysis.simlint import Severity
+from repro.analysis.framework import Severity
 
 SRC_ROOT = Path(__file__).resolve().parent.parent / "src" / "repro"
 

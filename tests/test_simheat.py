@@ -8,16 +8,16 @@ from pathlib import Path
 
 import pytest
 
+from repro.analysis.framework import Probe as HeatProbe
+from repro.analysis.framework import Severity
 from repro.analysis.simheat import (
     DEFAULT_CONFIRM_GRID,
-    HeatProbe,
     HeatReport,
     confirm_heat,
     heat_rule_table,
     heat_source,
     run_heat,
 )
-from repro.analysis.simlint import Severity
 
 SRC_ROOT = Path(__file__).resolve().parent.parent / "src" / "repro"
 
@@ -494,6 +494,15 @@ def test_cli_heat_unknown_rule_is_usage_error(capsys):
     from repro.cli import main
 
     assert main(["heat", "--select", "SH999", str(SRC_ROOT)]) == 2
+
+
+@pytest.mark.parametrize("entry", ["nope", "P-2MM/Nope", "NoApp/Pr40"])
+def test_cli_heat_bad_grid_is_usage_error(entry, capsys):
+    from repro.cli import main
+
+    assert main(["heat", "--confirm", "--no-alloc", "--grid", entry]) == 2
+    err = capsys.readouterr().err
+    assert "APP/DESIGN" in err and repr(entry) in err
 
 
 def test_cli_analyze_json_includes_simheat(capsys):

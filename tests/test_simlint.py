@@ -8,10 +8,10 @@ import textwrap
 
 import pytest
 
+from repro.analysis.framework import Finding as LintFinding
+from repro.analysis.framework import Severity
 from repro.analysis.simlint import (
     RULES,
-    LintFinding,
-    Severity,
     lint_source,
     rule_table,
     run_lint,

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis.simlint import Severity
+from repro.analysis.framework import Severity
 from repro.analysis.simpure import (
     DECLARED_ENV_INPUTS,
     mutated_value,
@@ -616,7 +616,8 @@ def test_confirm_purity_single_point_is_sound():
 
 
 def test_report_render_names_failures():
-    from repro.analysis.simpure import PurityProbe, PurityReport
+    from repro.analysis.framework import Probe as PurityProbe
+    from repro.analysis.simpure import PurityReport
 
     report = PurityReport(grid=[("A", "B")], scale=0.1, probes=[
         PurityProbe("key-sensitivity", "SimConfig.scale", True),
@@ -663,10 +664,12 @@ def test_cli_purity_unknown_rule_is_usage_error(capsys):
     assert main(["purity", "--select", "SP999", "."]) == 2
 
 
-def test_cli_purity_bad_grid_is_usage_error(capsys):
+@pytest.mark.parametrize("entry", ["nope", "P-2MM/Nope", "NoApp/Pr40"])
+def test_cli_purity_bad_grid_is_usage_error(entry, capsys):
     from repro.cli import main
 
-    assert main(["purity", "--confirm", "--grid", "nope"]) == 2
+    assert main(["purity", "--confirm", "--grid", entry]) == 2
+    assert repr(entry) in capsys.readouterr().err
 
 
 def test_cli_analyze_includes_simpure(tmp_path, capsys):

@@ -4,7 +4,7 @@ import textwrap
 
 import pytest
 
-from repro.analysis.simlint import Severity
+from repro.analysis.framework import Severity
 from repro.analysis.simrace import (
     analyze_source,
     confirm_races,

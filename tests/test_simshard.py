@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis.simlint import Severity
+from repro.analysis.framework import Severity
 from repro.analysis.simshard import (
     WORKER_SAFE_GLOBALS,
     confirm_shard,
@@ -714,7 +714,7 @@ class TestConfirmShard:
         assert "bit-identical" in text
 
     def test_findings_graded(self, report):
-        from repro.analysis.simshard import ShardFinding
+        from repro.analysis.framework import Finding as ShardFinding
 
         exercised = ShardFinding(
             "src/repro/experiments/base.py", 1, 0, "SD501",
@@ -749,11 +749,13 @@ class TestCli:
         assert main(["shard", "--select", "SD999", str(SRC_ROOT)]) == 2
         assert "SD999" in capsys.readouterr().err
 
-    def test_bad_grid_entry_rejected(self, capsys):
+    @pytest.mark.parametrize("entry", ["nope", "P-2MM/Nope", "NoApp/Pr40"])
+    def test_bad_grid_entry_rejected(self, entry, capsys):
         from repro.cli import main
 
-        assert main(["shard", "--confirm", "--grid", "nope"]) == 2
-        assert "APP/DESIGN" in capsys.readouterr().err
+        assert main(["shard", "--confirm", "--grid", entry]) == 2
+        err = capsys.readouterr().err
+        assert "APP/DESIGN" in err and repr(entry) in err
 
     def test_analyze_includes_simshard_row(self, capsys):
         from repro.cli import main
