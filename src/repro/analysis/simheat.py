@@ -1,36 +1,21 @@
-"""SimHeat — twin-path drift & hot-path performance analyzer.
+"""SimHeat — twin-path wiring & hot-path performance analyzer.
 
-The SimTurbo hot path (see ``docs/performance.md``) buys its ~2.9x
-speedup with hand-maintained *twin implementations*: every instrumented
-slow path (``Server.reserve``, ``Crossbar.traverse``, the cold issue
-path) has an uninstrumented fast twin whose arithmetic must stay in
-bit-exact lockstep.  The contract is guarded dynamically by the golden
-fingerprints in ``tests/test_simturbo.py`` — SimHeat adds the static
-half, plus review-time hygiene rules for the hot handlers themselves.
+Each hop of the request lifecycle (``Server.reserve``,
+``Crossbar.traverse``, the route and ``home_of`` closures, the issue
+path) has one implementation, with instrumentation behind ``is not None``
+checks.  The one remaining twin family is the SimVec fused batch twins
+(``GPUSystem._make_spec_twins``), whose closures hand-inline the scalar
+handlers for the single-cluster shape.  Their equivalence is guarded
+dynamically — the differential confirmers (``force_scalar_dispatch``,
+``force_slow_path``) and the golden fingerprints in
+``tests/test_simturbo.py``; SimHeat adds static wiring checks, plus
+review-time hygiene rules for the hot handlers themselves.
 
-Rule family one — twin-path drift.  Sim-core modules declare a
-``FAST_PATH_PAIRS`` manifest: ``(fast_qualname, slow_qualname(s), mode,
-options)`` tuples naming each fast variant, its canonical slow twin and
-the comparison *mode* the analyzer applies:
-
-* ``"lockstep"`` — the two bodies must produce the same effect sequence
-  once the declared elidable instrumentation (owner/ledger/watchdog
-  hooks) is removed and single-assignment locals are substituted.
-* ``"inline"`` — the fast side hand-inlines ``Server.reserve_fast``; the
-  analyzer alpha-matches each inlined block against the reserve template
-  and requires one block per ``.reserve(`` call in the slow twin.
-* ``"closure"`` — the fast side is a factory returning specialized
-  closures; each closure, with the factory-local bindings substituted,
-  must match the corresponding canonical branch (helpers named in
-  ``options["inline_helpers"]`` are inlined into the slow twin first).
-* ``"specialized"`` — the fast side handles a subset of the slow twin's
-  cases (the LOAD-only issue path); the analyzer checks the fast side's
-  scheduled handlers are a subset of the slow side's, that assignments
-  both sides make to the same target agree, and that counter updates
-  differ only by ``options["slow_only_counters"]``.
-* ``"delegated"`` — structural equivalence is delegated to the
-  differential confirmer and the fingerprint tests; only SH603/SH604
-  are enforced statically.
+Rule family one — twin-path wiring.  Sim-core modules declare a
+``FAST_PATH_PAIRS`` manifest: ``(fast_qualname, slow_qualname(s))``
+tuples naming each fast variant and the canonical code it mirrors.  The
+analyzer requires the fast definition to exist (SH601) and to be wired
+in (SH603), and flags a canonical call made on the fast path (SH604).
 
 Rule family two — hot-path perf anti-patterns, applied to *hot
 handlers*: every callback the class schedules, the declared fast twins,
@@ -52,7 +37,6 @@ from __future__ import annotations
 
 import argparse
 import ast
-import copy
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -92,9 +76,7 @@ HEAT_RULES: List[Rule] = [
     ("SH600", Severity.ERROR,
      "module failed to parse (twin manifests unverifiable)"),
     ("SH601", Severity.ERROR,
-     "fast twin diverges from its slow twin (arithmetic/schedule drift)"),
-    ("SH602", Severity.ERROR,
-     "counter updated on only one side of a twin pair"),
+     "FAST_PATH_PAIRS names a fast twin that is not defined"),
     ("SH603", Severity.ERROR,
      "unreachable fast path (never wired, or gate can never hold)"),
     ("SH604", Severity.ERROR,
@@ -112,9 +94,9 @@ HEAT_RULES: List[Rule] = [
 ]
 
 #: ``self`` attributes (and bare names) that are instrumentation, not
-#: model semantics: statements/branches keyed on them are elided before
-#: twin comparison, and code under their guards is exempt from the
-#: hot-path rules.  Modules may extend this via ``SIMHEAT_ELIDABLE``.
+#: model semantics: calls made under their guards do not make a function
+#: hot, and code under their guards is exempt from the hot-path rules.
+#: Modules may extend this via ``SIMHEAT_ELIDABLE``.
 ELIDABLE_ATTRS: Set[str] = {
     "_ledger", "ledger", "_sanitizer", "_watchdog", "owner", "holder",
     "holder_since", "_fast", "_force_slow", "_note", "_live_audit",
@@ -134,22 +116,10 @@ _SINK_VERBS: Set[str] = {
 _LOG_METHODS: Set[str] = {"debug", "info", "warning", "error", "critical",
                           "exception", "log"}
 
-#: The canonical reservation arithmetic ("inline" mode matches each
-#: hand-inlined block of a fast twin against this, alpha-renaming
-#: ``p``/``now``/``size``/locals; ``ret`` stands for assign-or-return).
-_RESERVE_TEMPLATE_SRC = """\
-start = now if now > p.next_free else p.next_free
-occupancy = p.service * size
-p.next_free = start + occupancy
-p.busy_cycles += occupancy
-p.num_served += 1
-ret = start + occupancy + p.latency
-"""
-
 
 @dataclass(frozen=True)
 class HeatFinding(Finding):
-    """One twin-drift or hot-path-hygiene violation."""
+    """One twin-wiring or hot-path-hygiene violation."""
 
     #: Hot handler the finding sits in (family two; confirmer grading).
     handler: str = ""
@@ -164,8 +134,6 @@ class HeatFinding(Finding):
 class _Pair:
     fast: str                  # "Class.method"
     slows: Tuple[str, ...]     # one or more "Class.method"
-    mode: str
-    options: Dict[str, object]
 
     @property
     def label(self) -> str:
@@ -202,13 +170,9 @@ def _extract_manifest(tree: ast.Module) -> _Manifest:
         except (ValueError, SyntaxError):
             continue
         if name == "FAST_PATH_PAIRS":
-            for entry in value:
-                entry = tuple(entry)
-                fast, slow = entry[0], entry[1]
-                mode = entry[2] if len(entry) > 2 else "lockstep"
-                opts = dict(entry[3]) if len(entry) > 3 else {}
+            for fast, slow in value:
                 slows = tuple(slow) if isinstance(slow, (tuple, list)) else (slow,)
-                man.pairs.append(_Pair(fast, slows, mode, opts))
+                man.pairs.append(_Pair(fast, slows))
         elif name == "SIMHEAT_HOT_FUNCTIONS":
             man.hot_functions = tuple(value)
         elif name == "SIMHEAT_REQUEST_SAFE_SINKS":
@@ -264,62 +228,6 @@ def _mentions(node: ast.AST, names: Set[str]) -> bool:
         if isinstance(sub, ast.Attribute) and sub.attr in names:
             return True
     return False
-
-
-class _Subst(ast.NodeTransformer):
-    """Replace Load-context Names by (copies of) bound expressions."""
-
-    def __init__(self, env: Dict[str, ast.AST]):
-        self.env = env
-
-    def visit_Name(self, node: ast.Name):
-        if isinstance(node.ctx, ast.Load) and node.id in self.env:
-            return copy.deepcopy(self.env[node.id])
-        return node
-
-
-def _substitute(node: ast.AST, env: Dict[str, ast.AST],
-                rounds: int = 4) -> ast.AST:
-    """Substitute ``env`` bindings into a copy of ``node`` to fixpoint
-    (bounded — locals may reference other locals)."""
-    out = copy.deepcopy(node)
-    for _ in range(rounds):
-        before = ast.dump(out)
-        out = _Subst(env).visit(out)
-        if ast.dump(out) == before:
-            break
-    return out
-
-
-def _norm(node: ast.AST, env: Optional[Dict[str, ast.AST]] = None) -> str:
-    """Canonical text of an expression/statement, locals substituted."""
-    if env:
-        node = _substitute(node, env)
-    return ast.unparse(node)
-
-
-def _env_of(func: ast.FunctionDef) -> Dict[str, ast.AST]:
-    """Single-assignment locals of ``func``, including elementwise tuple
-    unpacking (``m, n = self._m, self._n``) which
-    :func:`single_assignment_defs` skips."""
-    env = dict(single_assignment_defs(func))
-    counts: Dict[str, int] = {}
-    for node in ast.walk(func):
-        for tgt in (node.targets if isinstance(node, ast.Assign) else
-                    [node.target] if isinstance(node, (ast.AugAssign,
-                                                       ast.AnnAssign)) else []):
-            for sub in ast.walk(tgt):
-                if isinstance(sub, ast.Name):
-                    counts[sub.id] = counts.get(sub.id, 0) + 1
-    for node in ast.walk(func):
-        if (isinstance(node, ast.Assign) and len(node.targets) == 1
-                and isinstance(node.targets[0], ast.Tuple)
-                and isinstance(node.value, ast.Tuple)
-                and len(node.targets[0].elts) == len(node.value.elts)):
-            for t, v in zip(node.targets[0].elts, node.value.elts):
-                if isinstance(t, ast.Name) and counts.get(t.id, 0) == 1:
-                    env[t.id] = v
-    return env
 
 
 # --------------------------------------------------------- elision logic
@@ -387,39 +295,7 @@ def _elide_statements(body: Sequence[ast.stmt],
     return out
 
 
-# ------------------------------------------------------ effect sequences
-
-
-def _effect_sequence(func: ast.FunctionDef,
-                     elidable: Set[str]) -> List[str]:
-    """Normalized statement texts of ``func`` with instrumentation elided
-    and single-assignment locals substituted ("lockstep" comparison)."""
-    env = _env_of(func)
-    out: List[str] = []
-    for stmt in _elide_statements(func.body, elidable):
-        if (isinstance(stmt, ast.Expr)
-                and isinstance(stmt.value, ast.Constant)):
-            continue  # docstring
-        if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1 \
-                and isinstance(stmt.targets[0], ast.Name) \
-                and stmt.targets[0].id in env:
-            continue  # definition of a substituted local
-        if isinstance(stmt, ast.Return) and stmt.value is not None:
-            out.append(f"return {_norm(stmt.value, env)}")
-        else:
-            out.append(_norm(stmt, env))
-    return out
-
-
-def _counter_targets(func: ast.FunctionDef, elidable: Set[str]) -> Set[str]:
-    """Self-rooted AugAssign targets — the batched result counters."""
-    out: Set[str] = set()
-    for node in ast.walk(func):
-        if isinstance(node, ast.AugAssign):
-            attr = _self_attr(node.target)
-            if attr is not None and attr not in elidable:
-                out.add(attr)
-    return out
+# ------------------------------------------------------- call structure
 
 
 def _schedule_callbacks(func: ast.FunctionDef) -> Set[str]:
@@ -460,397 +336,12 @@ def _self_call_names(func: ast.FunctionDef, elidable: Set[str]) -> Set[str]:
     return out
 
 
-# -------------------------------------------------- alpha-equivalence
-
-
-def _alpha_eq(a: ast.AST, b: ast.AST, fwd: Dict[str, str],
-              rev: Dict[str, str]) -> bool:
-    """Structural equality of two expressions modulo a consistent
-    renaming of bare Names (attribute names and constants must match)."""
-    if isinstance(a, ast.Name) and isinstance(b, ast.Name):
-        if a.id in fwd:
-            return fwd[a.id] == b.id
-        if b.id in rev:
-            return False
-        fwd[a.id] = b.id
-        rev[b.id] = a.id
-        return True
-    if type(a) is not type(b):
-        return False
-    if isinstance(a, ast.Attribute):
-        return a.attr == b.attr and _alpha_eq(a.value, b.value, fwd, rev)
-    if isinstance(a, ast.Constant):
-        return a.value == b.value and type(a.value) is type(b.value)
-    for fname, fa in ast.iter_fields(a):
-        if fname in ("ctx", "lineno", "col_offset", "end_lineno",
-                     "end_col_offset", "type_comment"):
-            continue
-        fb = getattr(b, fname)
-        if isinstance(fa, ast.AST):
-            if not isinstance(fb, ast.AST) or not _alpha_eq(fa, fb, fwd, rev):
-                return False
-        elif isinstance(fa, list):
-            if not isinstance(fb, list) or len(fa) != len(fb):
-                return False
-            for xa, xb in zip(fa, fb):
-                if isinstance(xa, ast.AST):
-                    if not _alpha_eq(xa, xb, fwd, rev):
-                        return False
-                elif xa != xb:
-                    return False
-        else:
-            if fa != fb:
-                return False
-    return True
-
-
-def _as_assignment(stmt: ast.stmt) -> Optional[Tuple[ast.AST, ast.AST]]:
-    """View a statement as (target, value): Assign-to-one-target,
-    AugAssign (kept as-is via a marker), or Return (target ``ret``)."""
-    if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1:
-        return stmt.targets[0], stmt.value
-    if isinstance(stmt, ast.Return) and stmt.value is not None:
-        return ast.Name(id="ret", ctx=ast.Store()), stmt.value
-    return None
-
-
-def _match_reserve_block(block: List[ast.stmt]) -> bool:
-    """Alpha-match one inlined block against the reserve template."""
-    template = ast.parse(_RESERVE_TEMPLATE_SRC).body
-    if len(block) != len(template):
-        return False
-    fwd: Dict[str, str] = {}
-    rev: Dict[str, str] = {}
-    for tstmt, cstmt in zip(template, block):
-        if isinstance(tstmt, ast.AugAssign):
-            if not isinstance(cstmt, ast.AugAssign):
-                return False
-            if type(tstmt.op) is not type(cstmt.op):
-                return False
-            if not _alpha_eq(tstmt.target, cstmt.target, fwd, rev):
-                return False
-            if not _alpha_eq(tstmt.value, cstmt.value, fwd, rev):
-                return False
-            continue
-        tpair = _as_assignment(tstmt)
-        cpair = _as_assignment(cstmt)
-        if tpair is None or cpair is None:
-            return False
-        ttgt, tval = tpair
-        ctgt, cval = cpair
-        # ``ret = ...`` in the template accepts assignment or return.
-        if not _alpha_eq(tval, cval, fwd, rev):
-            return False
-        if isinstance(ttgt, ast.Name) and ttgt.id == "ret":
-            continue
-        # Targets: Name<->Name via the map, attributes structurally.
-        tk = ast.Name(id=ttgt.id, ctx=ast.Load()) if isinstance(ttgt, ast.Name) else ttgt
-        ck = ast.Name(id=ctgt.id, ctx=ast.Load()) if isinstance(ctgt, ast.Name) else ctgt
-        if not _alpha_eq(tk, ck, fwd, rev):
-            return False
-    return True
-
-
-# ----------------------------------------------------- pair comparison
-
-
-def _count_reserve_calls(func: ast.FunctionDef, slow_names: Set[str]) -> int:
-    n = 0
-    for node in ast.walk(func):
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
-            if node.func.attr in slow_names:
-                n += 1
-    return n
-
-
-def _check_lockstep(pair: _Pair, fast: ast.FunctionDef,
-                    slow: ast.FunctionDef, elidable: Set[str],
-                    out: Collector) -> None:
-    seq_fast = _effect_sequence(fast, elidable)
-    seq_slow = _effect_sequence(slow, elidable)
-    if seq_fast != seq_slow:
-        extra_f = [s for s in seq_fast if s not in seq_slow]
-        extra_s = [s for s in seq_slow if s not in seq_fast]
-        detail = "; ".join(
-            ([f"fast-only: {extra_f[0]!r}"] if extra_f else [])
-            + ([f"slow-only: {extra_s[0]!r}"] if extra_s else [])
-        ) or "statement order differs"
-        out.add(
-            "SH601", fast.lineno,
-            f"{pair.fast} drifts from {pair.slows[0]} after eliding "
-            f"instrumentation ({detail})",
-            col=fast.col_offset, also=(fast.lineno,), pair=pair.label)
-
-
-def _check_inline(pair: _Pair, fast: ast.FunctionDef,
-                  slow: ast.FunctionDef, elidable: Set[str],
-                  out: Collector) -> None:
-    want = _count_reserve_calls(slow, {"reserve", "reserve_fast"})
-    # Segment the fast body into inlined blocks at receiver rebinds:
-    # an Assign whose RHS is a subscript/attribute lookup starts a block.
-    body = _elide_statements(fast.body, elidable)
-    blocks: List[List[ast.stmt]] = []
-    cur: Optional[List[ast.stmt]] = None
-    for stmt in body:
-        if (isinstance(stmt, ast.Expr)
-                and isinstance(stmt.value, ast.Constant)):
-            continue
-        if (isinstance(stmt, ast.Assign) and len(stmt.targets) == 1
-                and isinstance(stmt.targets[0], ast.Name)
-                and isinstance(stmt.value, (ast.Subscript, ast.Attribute))):
-            if cur:
-                blocks.append(cur)
-            cur = []
-            continue
-        if cur is not None:
-            cur.append(stmt)
-        elif isinstance(stmt, ast.AugAssign):
-            continue  # leading counters (checked by SH602)
-    if cur:
-        blocks.append(cur)
-    if len(blocks) != want:
-        out.add(
-            "SH601", fast.lineno,
-            f"{pair.fast} inlines {len(blocks)} reservation block(s) but "
-            f"{pair.slows[0]} makes {want} reservation call(s)",
-            col=fast.col_offset, also=(fast.lineno,), pair=pair.label)
-        return
-    for i, block in enumerate(blocks):
-        if not _match_reserve_block(block):
-            out.add(
-                "SH601", fast.lineno,
-                f"{pair.fast} inlined block {i + 1} does not match the "
-                "Server.reserve arithmetic template",
-                col=fast.col_offset, also=(fast.lineno,), pair=pair.label)
-
-
-def _branch_returns(func: ast.FunctionDef) -> List[Tuple[Optional[ast.AST], ast.AST]]:
-    """(condition, return-expression) per early-return branch; the final
-    bare Return has condition None."""
-    out: List[Tuple[Optional[ast.AST], ast.AST]] = []
-    for stmt in func.body:
-        if (isinstance(stmt, ast.If) and not stmt.orelse and stmt.body
-                and isinstance(stmt.body[-1], ast.Return)):
-            out.append((stmt.test, stmt.body[-1].value))
-        elif isinstance(stmt, ast.Return) and stmt.value is not None:
-            out.append((None, stmt.value))
-    return out
-
-
-def _conditional_defs(func: ast.FunctionDef) -> List[Tuple[Optional[ast.AST], Optional[ast.FunctionDef]]]:
-    """(condition, closure def) per branch of a factory's if/elif/else."""
-    out: List[Tuple[Optional[ast.AST], Optional[ast.FunctionDef]]] = []
-
-    def first_def(stmts: Sequence[ast.stmt]) -> Optional[ast.FunctionDef]:
-        for s in stmts:
-            if isinstance(s, ast.FunctionDef):
-                return s
-        return None
-
-    def walk_if(node: ast.If) -> None:
-        out.append((node.test, first_def(node.body)))
-        if len(node.orelse) == 1 and isinstance(node.orelse[0], ast.If):
-            walk_if(node.orelse[0])
-        elif node.orelse:
-            out.append((None, first_def(node.orelse)))
-
-    for stmt in func.body:
-        if isinstance(stmt, ast.If):
-            walk_if(stmt)
-    if not out:
-        inner = first_def(func.body)
-        if inner is not None:
-            out.append((None, inner))
-    return out
-
-
-class _CallReplacer(ast.NodeTransformer):
-    """Replace ``self.<helper>(args)`` calls with an expression."""
-
-    def __init__(self, helper: str, replacement: ast.AST):
-        self.helper = helper
-        self.replacement = replacement
-
-    def visit_Call(self, node: ast.Call):
-        self.generic_visit(node)
-        if isinstance(node.func, ast.Attribute) and node.func.attr == self.helper:
-            return copy.deepcopy(self.replacement)
-        return node
-
-
-def _check_closure(pair: _Pair, fast: ast.FunctionDef,
-                   slow: ast.FunctionDef, defs: Dict[str, ast.FunctionDef],
-                   out: Collector) -> None:
-    cls = pair.slows[0].rsplit(".", 1)[0]
-    helpers = [str(h) for h in pair.options.get("inline_helpers", [])]
-    env_slow = _env_of(slow)
-
-    # Canonical branches: the slow twin's return with each helper branch
-    # inlined (helper params substituted by the call arguments).
-    slow_ret = None
-    for stmt in slow.body:
-        if isinstance(stmt, ast.Return) and stmt.value is not None:
-            slow_ret = _substitute(stmt.value, env_slow)
-    if slow_ret is None:
-        return
-    canonical: List[Tuple[Optional[ast.AST], ast.AST]] = [(None, slow_ret)]
-    for helper_name in helpers:
-        helper = defs.get(f"{cls}.{helper_name}")
-        if helper is None:
-            continue
-        call_args: List[ast.AST] = []
-        for node in ast.walk(slow):
-            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
-                    and node.func.attr == helper_name:
-                call_args = node.args
-        params = [a.arg for a in helper.args.args if a.arg != "self"]
-        param_env = {p: _substitute(a, env_slow)
-                     for p, a in zip(params, call_args)}
-        expanded: List[Tuple[Optional[ast.AST], ast.AST]] = []
-        for cond, hret in _branch_returns(helper):
-            hret_sub = _substitute(hret, param_env)
-            cond_sub = _substitute(cond, param_env) if cond is not None else None
-            for base_cond, base in canonical:
-                replaced = _CallReplacer(helper_name, hret_sub).visit(
-                    copy.deepcopy(base))
-                use_cond = cond_sub if cond_sub is not None else base_cond
-                expanded.append((use_cond, replaced))
-        canonical = expanded
-
-    closures = _conditional_defs(fast)
-    if len(closures) != len(canonical):
-        out.add(
-            "SH601", fast.lineno,
-            f"{pair.fast} builds {len(closures)} specialized closure(s) but "
-            f"the canonical {pair.slows[0]} has {len(canonical)} branch(es)",
-            col=fast.col_offset, also=(fast.lineno,), pair=pair.label)
-        return
-
-    env_fast = _env_of(fast)
-    for i, ((fcond, closure), (scond, canon)) in enumerate(
-            zip(closures, canonical)):
-        where = closure.lineno if closure is not None else fast.lineno
-        if (fcond is None) != (scond is None):
-            out.add(
-                "SH601", where,
-                f"{pair.fast} branch {i + 1} guard structure differs from "
-                f"the canonical {pair.slows[0]}",
-                col=fast.col_offset, also=(fast.lineno,), pair=pair.label)
-            continue
-        if fcond is not None and _norm(fcond, env_fast) != ast.unparse(scond):
-            out.add(
-                "SH601", where,
-                f"{pair.fast} branch {i + 1} guard "
-                f"{_norm(fcond, env_fast)!r} != canonical "
-                f"{ast.unparse(scond)!r}",
-                col=fast.col_offset, also=(fast.lineno,), pair=pair.label)
-            continue
-        if closure is None:
-            out.add(
-                "SH601", where,
-                f"{pair.fast} branch {i + 1} builds no closure",
-                col=fast.col_offset, also=(fast.lineno,), pair=pair.label)
-            continue
-        cret = None
-        for stmt in closure.body:
-            if isinstance(stmt, ast.Return) and stmt.value is not None:
-                cret = stmt.value
-        if cret is None:
-            continue
-        got = _norm(cret, env_fast)
-        accepted = {ast.unparse(canon)}
-        # Degenerate-branch simplification: when the canonical branch adds
-        # a constant 0 under an ``M == 1`` guard, the specialized closure
-        # may drop the ``* M + 0`` terms entirely.
-        node = canon
-        if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add)
-                and isinstance(node.right, ast.Constant)
-                and node.right.value == 0):
-            accepted.add(ast.unparse(node.left))
-            inner = node.left
-            if isinstance(inner, ast.BinOp) and isinstance(inner.op, ast.Mult):
-                accepted.add(ast.unparse(inner.left))
-        if got not in accepted:
-            out.add(
-                "SH601", closure.lineno,
-                f"{pair.fast} closure {got!r} does not match canonical "
-                f"{ast.unparse(canon)!r}",
-                col=closure.col_offset, also=(fast.lineno,), pair=pair.label)
-
-
-def _check_specialized(pair: _Pair, fast: ast.FunctionDef,
-                       slow: ast.FunctionDef, elidable: Set[str],
-                       out: Collector) -> None:
-    cb_fast = _schedule_callbacks(fast)
-    cb_slow = _schedule_callbacks(slow)
-    extra = cb_fast - cb_slow
-    if extra:
-        out.add(
-            "SH601", fast.lineno,
-            f"{pair.fast} schedules handler(s) {sorted(extra)} that "
-            f"{pair.slows[0]} never schedules",
-            col=fast.col_offset, also=(fast.lineno,), pair=pair.label)
-    # Assignments both sides make to the same object attribute must agree
-    # (after local substitution) — e.g. req.mc_id derivation.
-    env_f, env_s = _env_of(fast), _env_of(slow)
-
-    def attr_assigns(func: ast.FunctionDef, env) -> Dict[str, Set[str]]:
-        got: Dict[str, Set[str]] = {}
-        for node in ast.walk(func):
-            if isinstance(node, ast.Assign) and len(node.targets) == 1:
-                tgt = node.targets[0]
-                if isinstance(tgt, ast.Attribute) and isinstance(
-                        tgt.value, ast.Name) and tgt.value.id != "self":
-                    key = tgt.attr
-                    got.setdefault(key, set()).add(_norm(node.value, env))
-        return got
-
-    a_fast = attr_assigns(fast, env_f)
-    a_slow = attr_assigns(slow, env_s)
-    for attr in sorted(set(a_fast) & set(a_slow)):
-        if not (a_fast[attr] & a_slow[attr]):
-            out.add(
-                "SH601", fast.lineno,
-                f"{pair.fast} and {pair.slows[0]} assign .{attr} "
-                f"differently ({sorted(a_fast[attr])[0]!r} vs "
-                f"{sorted(a_slow[attr])[0]!r})",
-                col=fast.col_offset, also=(fast.lineno,), pair=pair.label)
-
-
-def _check_counters(pair: _Pair, fast: ast.FunctionDef,
-                    slow: ast.FunctionDef, elidable: Set[str],
-                    out: Collector) -> None:
-    slow_only = {str(c) for c in pair.options.get("slow_only_counters", [])}
-    c_fast = _counter_targets(fast, elidable)
-    c_slow = _counter_targets(slow, elidable)
-    fast_missing = (c_slow - slow_only) - c_fast
-    slow_missing = c_fast - c_slow
-    undeclared = c_fast & slow_only
-    for name in sorted(fast_missing):
-        out.add(
-            "SH602", fast.lineno,
-            f"counter {name} is updated by {pair.slows[0]} but not by "
-            f"{pair.fast}",
-            col=fast.col_offset, pair=pair.label)
-    for name in sorted(slow_missing):
-        out.add(
-            "SH602", slow.lineno,
-            f"counter {name} is updated by {pair.fast} but not by "
-            f"{pair.slows[0]}",
-            col=slow.col_offset, pair=pair.label)
-    for name in sorted(undeclared):
-        out.add(
-            "SH602", fast.lineno,
-            f"counter {name} is declared slow-only but updated by "
-            f"{pair.fast}",
-            col=fast.col_offset, pair=pair.label)
-
-
 # -------------------------------------------------------- gate checks
 
 
-def _check_gates(tree: ast.Module, man: _Manifest, elidable: Set[str],
-                 refs: Dict[str, int], out: Collector) -> None:
+def _check_gates(tree: ast.Module, man: _Manifest,
+                 defs: Dict[str, ast.FunctionDef], refs: Dict[str, int],
+                 out: Collector) -> None:
     """SH603: a fast path that can never run — either its gating
     predicate is contradictory, or the fast member is never wired in."""
     # (b) contradictory gates: within a class whose wiring assigns
@@ -897,7 +388,7 @@ def _check_gates(tree: ast.Module, man: _Manifest, elidable: Set[str],
     # (a) unreferenced fast member.
     for pair in man.pairs:
         if refs.get(pair.fast_name, 0) < 1:
-            fdef = _collect_defs(tree).get(pair.fast)
+            fdef = defs.get(pair.fast)
             out.add(
                 "SH603", fdef.lineno if fdef is not None else 1,
                 f"fast path {pair.fast} is declared in FAST_PATH_PAIRS "
@@ -906,7 +397,6 @@ def _check_gates(tree: ast.Module, man: _Manifest, elidable: Set[str],
 
 
 def _check_slow_calls_in_fast(tree: ast.Module, man: _Manifest,
-                              defs: Dict[str, ast.FunctionDef],
                               out: Collector) -> None:
     """SH604: a slow-twin call inside a positive ``self._fast`` branch or
     inside a fast twin's own body."""
@@ -1201,7 +691,7 @@ class _HotScanner:
                 self._emit(node, "SH614",
                            f"pooled request stored into self.{attr} in "
                            f"{self.qual}; a reference outliving completion "
-                           "defeats reinit() recycling (declare it in "
+                           "defeats free-list recycling (declare it in "
                            "SIMHEAT_REQUEST_SAFE_SINKS if the container is "
                            "drained before completion)")
             elif isinstance(node, ast.Assign) and len(node.targets) == 1 \
@@ -1214,7 +704,7 @@ class _HotScanner:
                 self._emit(node, "SH614",
                            f"pooled request stored into self.{attr}[...] in "
                            f"{self.qual}; a reference outliving completion "
-                           "defeats reinit() recycling")
+                           "defeats free-list recycling")
 
 
 # ------------------------------------------------------------- drivers
@@ -1247,33 +737,16 @@ def _analyze_tree(tree: ast.Module, out: Collector,
     man = _extract_manifest(tree)
     elidable = ELIDABLE_ATTRS | man.elidable
     defs = _collect_defs(tree)
-    checkers = {
-        "lockstep": _check_lockstep,
-        "inline": _check_inline,
-        "specialized": _check_specialized,
-    }
     for pair in man.pairs:
-        fast = defs.get(pair.fast)
-        slow = defs.get(pair.slows[0])
-        if fast is None or slow is None:
-            if fast is None:
-                out.add("SH601", 1,
-                        f"FAST_PATH_PAIRS names {pair.fast} but no such "
-                        "definition exists in this module", pair=pair.label)
-            continue
-        if out.wants("SH601"):
-            if pair.mode == "closure":
-                _check_closure(pair, fast, slow, defs, out)
-            elif pair.mode in checkers:
-                checkers[pair.mode](pair, fast, slow, elidable, out)
-        # "delegated": no structural check.
-        if pair.mode in checkers and out.wants("SH602"):
-            _check_counters(pair, fast, slow, elidable, out)
+        if pair.fast not in defs:
+            out.add("SH601", 1,
+                    f"FAST_PATH_PAIRS names {pair.fast} but no such "
+                    "definition exists in this module", pair=pair.label)
 
     if out.wants("SH603"):
-        _check_gates(tree, man, elidable, refs, out)
+        _check_gates(tree, man, defs, refs, out)
     if out.wants("SH604"):
-        _check_slow_calls_in_fast(tree, man, defs, out)
+        _check_slow_calls_in_fast(tree, man, out)
 
     for qual, func in sorted(_hot_handlers(tree, man, elidable).items()):
         _HotScanner(qual, func, man, elidable, out).scan()
@@ -1302,9 +775,9 @@ def _run(paths: Sequence[str], wanted: Optional[Set[str]]) -> List[Finding]:
 
 
 #: Default force-fast vs force-slow replay grid: the acceptance workload
-#: on Sh40, a clustered decoupled point, a store-heavy app (C-SP, 30%
-#: stores — exercises the cold issue path on fast wiring), and the
-#: baseline (no NoC#1, no home mapping).
+#: on Sh40 (fused twins engage), a clustered decoupled point, a
+#: store-heavy app (C-SP, 30% stores — exercises pooled non-LOAD
+#: requests), and the baseline (no NoC#1, no home mapping).
 DEFAULT_CONFIRM_GRID: Tuple[Tuple[str, str], ...] = (
     ("T-AlexNet", "Sh40"),
     ("P-2MM", "Sh40+C10"),
@@ -1366,13 +839,13 @@ class HeatReport:
         return max(2.0 * median, 64.0)
 
     def verdict_for(self, finding: HeatFinding) -> str:
-        if finding.rule_id in ("SH601", "SH602", "SH603", "SH604", "SH600"):
+        if finding.rule_id in ("SH601", "SH603", "SH604", "SH600"):
             twin_failed = any(p.kind == "twin-diff" and not p.ok
                               for p in self.probes)
             if twin_failed:
                 return CONFIRMED
-            needs_decoupled = ("home_of" in finding.pair
-                               or "core_to_dcl1" in finding.pair)
+            # The fused twins only engage on decoupled designs.
+            needs_decoupled = "_make_spec_twins" in finding.pair
             if needs_decoupled and not self.any_decoupled:
                 return UNOBSERVED
             return BENIGN

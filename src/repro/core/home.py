@@ -23,14 +23,10 @@ from typing import Callable
 
 from repro.core.clusters import ClusterGeometry
 
-# SimHeat twin-path manifest: the factory's specialized closures must stay
-# bit-equivalent to the canonical ``home_of`` with ``range_of_line`` inlined
-# ("closure" mode — the analyzer substitutes the factory-local bindings and
-# compares each closure against the matching canonical branch).
-FAST_PATH_PAIRS = [
-    ("HomeMapper.make_fast_home_of", "HomeMapper.home_of", "closure",
-     {"inline_helpers": ["range_of_line"]}),
-]
+# SimHeat hot-path manifest: ``home_of`` runs once per issued request and
+# is a closure built by this factory; it is held to the hot-path hygiene
+# rules (SH611-SH615).
+SIMHEAT_HOT_FUNCTIONS = ("HomeMapper._make_home_of",)
 
 
 class HomeMapper:
@@ -47,6 +43,7 @@ class HomeMapper:
         self.bit_shift = bit_shift
         self._m = m
         self._n = geometry.cores_per_cluster
+        self.home_of = self._make_home_of()
 
     def range_of_line(self, line: int) -> int:
         """Address range r in [0, M) of a cache line."""
@@ -56,21 +53,17 @@ class HomeMapper:
             return (line >> self.bit_shift) & (self._m - 1)
         return line % self._m
 
-    def home_of(self, core_id: int, line: int) -> int:
-        """The DC-L1 node a request from ``core_id`` for ``line`` targets.
+    def _make_home_of(self) -> Callable[[int, int], int]:
+        """Build ``home_of(core_id, line)``: the DC-L1 node a request from
+        ``core_id`` for ``line`` targets.
 
-        The cluster comes from the issuing core; the range from the line.
-        For private designs (M = 1) this degenerates to "the core group's
-        own DC-L1", and for fully shared designs (Z = 1) the cluster term
-        vanishes — both exactly as in the paper.
+        The cluster comes from the issuing core; the range from the line
+        (:meth:`range_of_line`, with the strategy branch and the ``M``/``N``
+        lookups resolved here, once).  For private designs (M = 1) this
+        degenerates to "the core group's own DC-L1", and for fully shared
+        designs (Z = 1) the cluster term vanishes — both exactly as in the
+        paper.
         """
-        cluster = core_id // self._n
-        return cluster * self._m + self.range_of_line(line)
-
-    def make_fast_home_of(self) -> Callable[[int, int], int]:
-        """Build a closure equivalent to :meth:`home_of` with the strategy
-        branch and the ``M``/``N`` lookups resolved once (hot-path route
-        pre-binding; ``home_of`` runs once per issued request)."""
         m, n = self._m, self._n
         if m == 1:
             def home_of(core_id: int, line: int) -> int:

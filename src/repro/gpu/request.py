@@ -85,31 +85,6 @@ class MemoryRequest:
         self.l2_hit = False
         self.merged = False
 
-    def reinit(self, addr: int, kind: AccessKind, size: int, core_id: int) -> "MemoryRequest":
-        """Re-initialize a recycled request from the system's free list.
-
-        Pooled reuse is only enabled on uninstrumented runs: the sanitizer
-        ledger keys live holds by ``id(request)``, so recycling an object
-        while a ledger could still attribute notes to the old id would
-        corrupt hop traces.  Every field is reset to the
-        ``__init__``-equivalent state — a stale flag (``merged``,
-        ``l1_hit``) surviving reuse would silently corrupt statistics.
-        """
-        self.addr = addr
-        self.kind = kind
-        self.size = size
-        self.core_id = core_id
-        self.wavefront = None
-        self.issue_time = 0.0
-        self.line = 0
-        self.dcl1_id = 0
-        self.l2_id = 0
-        self.mc_id = 0
-        self.l1_hit = False
-        self.l2_hit = False
-        self.merged = False
-        return self
-
     @property
     def is_load(self) -> bool:
         return self.kind == AccessKind.LOAD

@@ -17,13 +17,9 @@ from __future__ import annotations
 
 from repro.sim.resources import ServerGroup
 
-# SimHeat twin-path manifest: ``traverse_fast`` hand-inlines the two port
-# reservations, so the analyzer matches each inlined block against the
-# ``Server.reserve_fast`` template ("inline" mode) and requires one block
-# per ``.reserve(`` call in the slow twin.
-FAST_PATH_PAIRS = [
-    ("Crossbar.traverse_fast", "Crossbar.traverse", "inline", {}),
-]
+# SimHeat hot-path manifest: every NoC hop of a run is one ``traverse``
+# call, so it is held to the hot-path hygiene rules (SH611-SH615).
+SIMHEAT_HOT_FUNCTIONS = ("Crossbar.traverse",)
 
 
 class Crossbar:
@@ -69,24 +65,10 @@ class Crossbar:
         """Send ``flits`` flits from ``in_port`` to ``out_port``.
 
         Returns the completion time (head of packet out + serialization +
-        pipeline latency).
-        """
-        self.flit_hops += flits
-        t_in = self._in[in_port].reserve(now, flits)
-        t_out = self._out[out_port].reserve(t_in, flits)
-        if self._ledger is not None:
-            self._ledger.check_reservation(
-                f"{self.name}[{in_port}->{out_port}]", now, flits, t_out
-            )
-        return t_out
-
-    def traverse_fast(self, now: float, in_port: int, out_port: int, flits: int) -> float:
-        """Uninstrumented :meth:`traverse`: both port reservations inlined
-        (see :meth:`Server.reserve_fast <repro.sim.resources.Server.reserve_fast>`),
-        no ledger validation.  Arithmetic must stay in lockstep with
-        ``traverse`` — the fingerprint-identity tests guard the pairing.
-        Selected at wiring time (``NoCTopology.make_fast_routes``) only
-        when no sanitizer is attached.
+        pipeline latency).  Both port reservations are
+        :meth:`Server.reserve <repro.sim.resources.Server.reserve>`
+        inlined; that is exact because crossbar ports never carry a ledger
+        or an owner (the crossbar validates the whole hop instead).
         """
         self.flit_hops += flits
         p = self._in[in_port]
@@ -102,7 +84,12 @@ class Crossbar:
         p.next_free = start + occupancy
         p.busy_cycles += occupancy
         p.num_served += 1
-        return start + occupancy + p.latency
+        t_out = start + occupancy + p.latency
+        if self._ledger is not None:
+            self._ledger.check_reservation(
+                f"{self.name}[{in_port}->{out_port}]", now, flits, t_out
+            )
+        return t_out
 
     def inject_out(self, now: float, out_port: int, flits: int) -> float:
         """Reserve only the output port (for direct-link degenerate cases)."""

@@ -33,17 +33,9 @@ from repro.core.clusters import ClusterGeometry
 from repro.core.designs import DesignKind, DesignSpec
 from repro.noc.crossbar import Crossbar
 
-# SimHeat twin-path manifest: the route factory specializes per design, so
-# structural equivalence is delegated to the differential confirmer and the
-# fingerprint-identity tests ("delegated" mode); the static pass still
-# enforces SH603/SH604 (the factory must be wired in, and must never call a
-# slow route method from a fast closure).
-FAST_PATH_PAIRS = [
-    ("NoCTopology.make_fast_routes",
-     ("NoCTopology.core_to_dcl1", "NoCTopology.dcl1_to_core",
-      "NoCTopology.to_l2", "NoCTopology.from_l2"),
-     "delegated", {}),
-]
+# SimHeat hot-path manifest: the route closures are built once, by the
+# binder below; it is held to the hot-path hygiene rules (SH611-SH615).
+SIMHEAT_HOT_FUNCTIONS = ("NoCTopology._bind_routes",)
 
 
 class NoCTopology:
@@ -147,75 +139,28 @@ class NoCTopology:
                     for p in self.noc2_rep[0].out_ports:
                         p.service = s2 / mult
 
-    # -- NoC#1 routing (cores <-> DC-L1 nodes) --------------------------------
+        self._bind_routes()
 
-    def core_to_dcl1(self, now: float, core_id: int, dcl1_id: int, flits: int) -> float:
-        """Request traversal on NoC#1; returns arrival time at the node."""
-        geo = self.geometry
-        z = geo.cluster_of_core(core_id) if len(self.noc1_req) > 1 else 0
-        xb = self.noc1_req[z]
-        return xb.traverse(
-            now, core_id % geo.cores_per_cluster, dcl1_id % geo.dcl1_per_cluster, flits
-        )
+    # -- routing ----------------------------------------------------------------
 
-    def dcl1_to_core(self, now: float, dcl1_id: int, core_id: int, flits: int) -> float:
-        """Reply traversal on NoC#1; returns arrival time at the core."""
-        geo = self.geometry
-        z = geo.cluster_of_core(core_id) if len(self.noc1_rep) > 1 else 0
-        xb = self.noc1_rep[z]
-        return xb.traverse(
-            now, dcl1_id % geo.dcl1_per_cluster, core_id % geo.cores_per_cluster, flits
-        )
+    def _bind_routes(self) -> None:
+        """Bind the four routes as closures, resolved once per design.
 
-    # -- NoC#2 routing (L1 level <-> L2 slices) --------------------------------
+        * ``core_to_dcl1(now, core_id, dcl1_id, flits)`` — request on
+          NoC#1; returns the arrival time at the node.
+        * ``dcl1_to_core(now, dcl1_id, core_id, flits)`` — reply on NoC#1.
+        * ``to_l2(now, src, l2_slice, flits)`` — request on NoC#2; ``src``
+          is a DC-L1 node id for decoupled designs, a core id for
+          BASELINE/CDXBAR.
+        * ``from_l2(now, l2_slice, dst, flits)`` — reply on NoC#2 back to
+          ``dst`` (node or core).
 
-    def to_l2(self, now: float, src: int, l2_slice: int, flits: int) -> float:
-        """Request traversal on NoC#2.
-
-        ``src`` is a DC-L1 node id for decoupled designs, a core id for
-        BASELINE/CDXBAR.
-        """
-        if self.spec.kind == DesignKind.CDXBAR:
-            g = src // self.cdxbar_group_size
-            col = l2_slice % self.cdxbar_columns
-            t = self.noc2_req[g].traverse(now, src % self.cdxbar_group_size, col, flits)
-            return self.cdx2_req[col].traverse(t, g, l2_slice // self.cdxbar_columns, flits)
-        geo = self.geometry
-        if geo is not None and geo.noc2_partitioned:
-            r = geo.dcl1_range_of(src)
-            xb = self.noc2_req[r]
-            return xb.traverse(now, geo.cluster_of_dcl1(src), l2_slice // geo.dcl1_per_cluster, flits)
-        return self.noc2_req[0].traverse(now, src, l2_slice, flits)
-
-    def from_l2(self, now: float, l2_slice: int, dst: int, flits: int) -> float:
-        """Reply traversal on NoC#2 back to ``dst`` (node or core)."""
-        if self.spec.kind == DesignKind.CDXBAR:
-            g = dst // self.cdxbar_group_size
-            col = l2_slice % self.cdxbar_columns
-            t = self.cdx2_rep[col].traverse(now, l2_slice // self.cdxbar_columns, g, flits)
-            return self.noc2_rep[g].traverse(t, col, dst % self.cdxbar_group_size, flits)
-        geo = self.geometry
-        if geo is not None and geo.noc2_partitioned:
-            r = geo.dcl1_range_of(dst)
-            xb = self.noc2_rep[r]
-            return xb.traverse(now, l2_slice // geo.dcl1_per_cluster, geo.cluster_of_dcl1(dst), flits)
-        return self.noc2_rep[0].traverse(now, l2_slice, dst, flits)
-
-    # -- prebound fast routes ----------------------------------------------------
-
-    def make_fast_routes(self):
-        """Build uninstrumented route closures, resolved once per design.
-
-        Returns ``(core_to_dcl1, dcl1_to_core, to_l2, from_l2)`` where each
-        entry is a callable with the same signature as the corresponding
-        method, or ``None`` when the design has no such hop (NoC#1 entries
-        for BASELINE/CDXBAR).  The closures hoist every per-design decision
-        the methods re-derive per call — which crossbar list, which port
-        arithmetic — into captured locals, and route through
-        :meth:`Crossbar.traverse_fast <repro.noc.crossbar.Crossbar.traverse_fast>`
-        (no ledger validation), so they are only selected at wiring time
-        when no sanitizer is attached.  Timing results are identical to
-        the plain methods by construction.
+        The NoC#1 routes are ``None`` for BASELINE/CDXBAR, which have no
+        NoC#1.  Each closure captures its crossbar list and port
+        arithmetic, the :class:`ClusterGeometry` helpers written as
+        ``%``/``//``: a core's cluster is ``core_id // n``, a node's range
+        ``dcl1_id % m`` and its cluster ``dcl1_id // m``, and a slice's
+        port on its range crossbar ``l2_slice // m``.
         """
         geo = self.geometry
         core_to_dcl1 = dcl1_to_core = None
@@ -225,22 +170,22 @@ class NoCTopology:
                 req_xbs, rep_xbs = self.noc1_req, self.noc1_rep
 
                 def core_to_dcl1(now, core_id, dcl1_id, flits):
-                    return req_xbs[core_id // n].traverse_fast(
+                    return req_xbs[core_id // n].traverse(
                         now, core_id % n, dcl1_id % m, flits
                     )
 
                 def dcl1_to_core(now, dcl1_id, core_id, flits):
-                    return rep_xbs[core_id // n].traverse_fast(
+                    return rep_xbs[core_id // n].traverse(
                         now, dcl1_id % m, core_id % n, flits
                     )
             else:
                 req_xb, rep_xb = self.noc1_req[0], self.noc1_rep[0]
 
                 def core_to_dcl1(now, core_id, dcl1_id, flits):
-                    return req_xb.traverse_fast(now, core_id % n, dcl1_id % m, flits)
+                    return req_xb.traverse(now, core_id % n, dcl1_id % m, flits)
 
                 def dcl1_to_core(now, dcl1_id, core_id, flits):
-                    return rep_xb.traverse_fast(now, dcl1_id % m, core_id % n, flits)
+                    return rep_xb.traverse(now, dcl1_id % m, core_id % n, flits)
 
         if self.spec.kind == DesignKind.CDXBAR:
             g_size, cols = self.cdxbar_group_size, self.cdxbar_columns
@@ -250,37 +195,40 @@ class NoCTopology:
             def to_l2(now, src, l2_slice, flits):
                 g = src // g_size
                 col = l2_slice % cols
-                t = stage1_req[g].traverse_fast(now, src % g_size, col, flits)
-                return stage2_req[col].traverse_fast(t, g, l2_slice // cols, flits)
+                t = stage1_req[g].traverse(now, src % g_size, col, flits)
+                return stage2_req[col].traverse(t, g, l2_slice // cols, flits)
 
             def from_l2(now, l2_slice, dst, flits):
                 g = dst // g_size
                 col = l2_slice % cols
-                t = stage2_rep[col].traverse_fast(now, l2_slice // cols, g, flits)
-                return stage1_rep[g].traverse_fast(t, col, dst % g_size, flits)
+                t = stage2_rep[col].traverse(now, l2_slice // cols, g, flits)
+                return stage1_rep[g].traverse(t, col, dst % g_size, flits)
         elif geo is not None and geo.noc2_partitioned:
             m2 = geo.dcl1_per_cluster
             req_ranges, rep_ranges = self.noc2_req, self.noc2_rep
 
             def to_l2(now, src, l2_slice, flits):
-                return req_ranges[src % m2].traverse_fast(
+                return req_ranges[src % m2].traverse(
                     now, src // m2, l2_slice // m2, flits
                 )
 
             def from_l2(now, l2_slice, dst, flits):
-                return rep_ranges[dst % m2].traverse_fast(
+                return rep_ranges[dst % m2].traverse(
                     now, l2_slice // m2, dst // m2, flits
                 )
         else:
             noc2_req_xb, noc2_rep_xb = self.noc2_req[0], self.noc2_rep[0]
 
             def to_l2(now, src, l2_slice, flits):
-                return noc2_req_xb.traverse_fast(now, src, l2_slice, flits)
+                return noc2_req_xb.traverse(now, src, l2_slice, flits)
 
             def from_l2(now, l2_slice, dst, flits):
-                return noc2_rep_xb.traverse_fast(now, l2_slice, dst, flits)
+                return noc2_rep_xb.traverse(now, l2_slice, dst, flits)
 
-        return core_to_dcl1, dcl1_to_core, to_l2, from_l2
+        self.core_to_dcl1 = core_to_dcl1
+        self.dcl1_to_core = dcl1_to_core
+        self.to_l2 = to_l2
+        self.from_l2 = from_l2
 
     # -- metrics ----------------------------------------------------------------
 

@@ -21,14 +21,10 @@ halves it again.
 
 from __future__ import annotations
 
-# SimHeat twin-path manifest (see docs/analysis.md): every fast variant in
-# this module and its canonical slow twin, plus the comparison mode the
-# analyzer applies.  "lockstep" means the two bodies must match statement
-# for statement once the declared elidable instrumentation (owner/ledger
-# hooks) is removed.
-FAST_PATH_PAIRS = [
-    ("Server.reserve_fast", "Server.reserve", "lockstep", {}),
-]
+# SimHeat hot-path manifest (see docs/analysis.md): every issue-port, bank
+# and DRAM reservation in a run goes through ``Server.reserve``, so it is
+# held to the hot-path hygiene rules (SH611-SH615) like an event handler.
+SIMHEAT_HOT_FUNCTIONS = ("Server.reserve",)
 
 
 class Server:
@@ -91,21 +87,6 @@ class Server:
         if self.ledger is not None:
             self.ledger.check_reservation(self.name, start, size, completion)
         return completion
-
-    def reserve_fast(self, now: float, size: float = 1.0) -> float:
-        """Uninstrumented :meth:`reserve`: identical arithmetic (and
-        therefore identical timing results), minus the owner/ledger
-        branches.  Selected once at wiring time by the system's hot-path
-        setup when no sanitizer is attached — never chosen per event.
-        Keep the arithmetic in lockstep with :meth:`reserve`; the
-        fingerprint-identity tests guard the pairing.
-        """
-        start = now if now > self.next_free else self.next_free
-        occupancy = self.service * size
-        self.next_free = start + occupancy
-        self.busy_cycles += occupancy
-        self.num_served += 1
-        return start + occupancy + self.latency
 
     def current_holder(self, now: float):
         """Owner the port is busy serving at ``now`` (None when idle or

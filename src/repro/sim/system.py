@@ -26,24 +26,25 @@ NoC#1 and NoC#2 exactly as the paper describes.
 Hot-path architecture (SimTurbo, see docs/performance.md)
 ---------------------------------------------------------
 The request lifecycle is the simulator's inner loop; every per-event cost
-here multiplies by hundreds of thousands.  ``_wire_hot_path`` resolves
-the fast/slow split once, at build time:
+here multiplies by hundreds of thousands.  Each hop of the lifecycle has
+exactly one implementation — ``Server.reserve`` for the issue port, banks
+and DRAM, ``Crossbar.traverse`` for NoC hops, the route closures
+``NoCTopology`` binds per design and the ``HomeMapper.home_of`` closure —
+and instrumentation is an ``is not None`` check inside it.
+``_wire_hot_path`` resolves the rest once, at build time:
 
 * ``self._fast`` is True iff no sanitizer ledger is attached (the stall
-  watchdog implies the ledger).  Fast runs use pre-bound route closures
-  (:meth:`NoCTopology.make_fast_routes`), per-bank ``reserve_fast`` bound
-  methods, a pre-bound :meth:`HomeMapper.make_fast_home_of` closure and a
-  ``MemoryRequest`` free list; instrumented runs keep the original
-  owner/ledger-attributed calls.  Both share one callable signature per
-  hop, so the handlers have a single code path per event kind.
-* ``_wf_issue`` splits into a lean LOAD fast path (the dominant kind)
-  and a cold path for STORE/ATOMIC/BYPASS/ledger runs.
+  watchdog implies the ledger) and :meth:`GPUSystem.force_slow_path` was
+  not called.  Fast runs recycle ``MemoryRequest`` objects through a free
+  list, skip owner attribution on bank reservations and, on the
+  single-cluster shape, register the fused batch twins
+  (``_make_spec_twins``).
 * Result counters are batched into plain integer attributes and flushed
   once, in ``_collect`` — nothing reads them mid-run (the live audit
   inspects structural state only).
 
 Every specialization preserves arithmetic exactly; the fingerprint
-identity of fast vs. instrumented runs is enforced by
+identity of fast, forced-slow and sanitized runs is enforced by
 ``tests/test_simturbo.py``.
 """
 
@@ -85,24 +86,17 @@ _STORE = int(AccessKind.STORE)
 _ATOMIC = int(AccessKind.ATOMIC)
 _BYPASS = int(AccessKind.BYPASS)
 
-# SimHeat twin-path manifest: the issue-path split is a *specialization*
-# (the fast side handles LOADs only), so the analyzer checks that every
-# handler the fast side schedules is also scheduled by the slow twin, that
-# assignments both sides make to the same request fields agree, and that
-# counter updates differ only by the declared slow-only kinds.
+# SimHeat twin-path manifest: the SimVec fused batch twins for the
+# single-cluster shape.  The factory resolves every per-design decision at
+# wiring time and its closures inline the reservation/traversal/probe/push
+# blocks (each mirroring its canonical scalar code statement for
+# statement).  Equivalence is checked by the differential confirmer
+# (force_scalar_dispatch) and the fingerprint-identity tests; the static
+# pass enforces SH603/SH604 (the factory must be wired in, and must never
+# call a scalar handler from a fused closure).
 FAST_PATH_PAIRS = [
-    ("GPUSystem._issue_load_fast", "GPUSystem._issue_cold", "specialized",
-     {"slow_only_counters": ["_n_stores", "_n_atomics", "_n_bypasses"]}),
-    # SimVec fused batch twins for the single-cluster shape: the factory
-    # resolves every per-design decision at wiring time and its closures
-    # inline the reservation/traversal/probe/push blocks (each mirroring
-    # its canonical twin statement for statement).  The loop structure
-    # defeats statement-level matching, so equivalence is delegated to the
-    # differential confirmer (force_scalar_dispatch) and the
-    # fingerprint-identity tests; SH603/SH604 wiring checks still apply.
     ("GPUSystem._make_spec_twins",
-     ("GPUSystem._wf_issue", "GPUSystem._l1_access", "GPUSystem._complete"),
-     "delegated", {}),
+     ("GPUSystem._wf_issue", "GPUSystem._l1_access", "GPUSystem._complete")),
 ]
 
 # SimHeat SH614 allowlist: self-rooted containers a pooled MemoryRequest
@@ -191,13 +185,13 @@ class GPUSystem:
             self._attach_watchdog()
 
         # SimHeat differential-confirmer knob (see force_slow_path): when
-        # set, _wire_hot_path keeps the instrumented slow twins even with
-        # no ledger attached.  Deliberately *not* a SimConfig field — it
+        # set, _wire_hot_path keeps the instrumented wiring even with no
+        # ledger attached.  Deliberately *not* a SimConfig field — it
         # must never perturb sim_cache_key or the fingerprint contract.
         self._force_slow = False
         # SimVec confirmer knob (see force_scalar_dispatch): when set,
         # the fast wiring skips batch-handler registration so every event
-        # runs the scalar fast twin.  Same non-config rationale as above.
+        # runs its scalar handler.  Same non-config rationale as above.
         self._force_scalar = False
 
         # Resolve the fast/slow hot-path split — must run last: it
@@ -206,12 +200,9 @@ class GPUSystem:
         self._wire_hot_path()
 
     def _wire_hot_path(self) -> None:
-        """Bind the per-event hot path once (see the module docstring).
-
-        Fast pre-bound callables keep the *same signatures* as the plain
-        methods they replace, so every handler has exactly one code shape;
-        which implementation runs was decided here, not per event.
-        """
+        """Bind the per-event hot path once (see the module docstring):
+        the per-hop callables, the fast/instrumented choice and the fused
+        batch twins are decided here, not per event."""
         self._fast = self._ledger is None and not self._force_slow
         # Captures the sanitizer-checked wrapper when a ledger swapped it
         # in.  Named ``schedule`` (not ``_schedule``) on purpose: the
@@ -224,23 +215,17 @@ class GPUSystem:
         self._num_l2_slices = amap.num_l2_slices
         self._slices_per_chan = amap.num_l2_slices // amap.num_channels
         self._request_bytes = self.workload.profile.request_bytes
-        self._home_of = self.home.make_fast_home_of() if self.decoupled else None
-        if self._fast:
-            routes = self.topo.make_fast_routes()
-            self._rt_core_to_dcl1, self._rt_dcl1_to_core = routes[0], routes[1]
-            self._rt_to_l2, self._rt_from_l2 = routes[2], routes[3]
-            self._l1_reserve = [b.reserve_fast for b in self.l1_banks]
-            self._l2_reserve = [b.reserve_fast for b in self.l2_banks]
-        else:
-            self._rt_core_to_dcl1 = self.topo.core_to_dcl1
-            self._rt_dcl1_to_core = self.topo.dcl1_to_core
-            self._rt_to_l2 = self.topo.to_l2
-            self._rt_from_l2 = self.topo.from_l2
-            self._l1_reserve = None
-            self._l2_reserve = None
+        self._home_of = self.home.home_of if self.decoupled else None
+        topo = self.topo
+        self._rt_core_to_dcl1 = topo.core_to_dcl1
+        self._rt_dcl1_to_core = topo.dcl1_to_core
+        self._rt_to_l2 = topo.to_l2
+        self._rt_from_l2 = topo.from_l2
+        self._l1_reserve = [b.reserve for b in self.l1_banks]
+        self._l2_reserve = [b.reserve for b in self.l2_banks]
         # SimVec batched dispatch (see docs/performance.md): registered
         # only on uninstrumented runs — instrumented drains outrank it in
-        # the engine anyway, and the scalar twins are the ground truth the
+        # the engine anyway, and the scalar handlers are the ground truth the
         # batch twins are checked against (force_scalar_dispatch).
         self._vec = self._fast and not self._force_scalar
         eng = self.engine
@@ -272,13 +257,14 @@ class GPUSystem:
                 eng.register_batch_handler(self._complete, spec[2])
 
     def force_slow_path(self) -> None:
-        """Re-wire the system onto the instrumented slow twins (SimHeat's
-        differential confirmer).  Safe before the first event: all batched
-        counters are still zero, and the slow twins run correctly with no
-        ledger attached (``_note`` no-ops, ``_issue_cold`` skips the
-        acquire, the owner mirror on ``reserve`` is inert).  The resulting
-        run must be bit-identical to the fast wiring — that identity *is*
-        the twin-path contract."""
+        """Re-wire the system onto the instrumented wiring without a
+        ledger (SimHeat's differential confirmer): no request pool, no
+        fused batch twins, and owner attribution on every bank
+        reservation.  Safe before the first event: all batched counters
+        are still zero, and the instrumented handlers run correctly with
+        no ledger attached (``_note`` no-ops, the issue path skips the
+        acquire).  The resulting run must be bit-identical to the fast
+        wiring."""
         if self._ran:
             raise RuntimeError("force_slow_path() must be called before run()")
         self._force_slow = True
@@ -286,7 +272,7 @@ class GPUSystem:
 
     def force_scalar_dispatch(self) -> None:
         """Re-wire with SimVec batched dispatch disabled: the fast wiring
-        stays, but every event runs its scalar fast twin individually
+        stays, but every event runs its scalar handler individually
         (the SimVec differential confirmer).  The resulting run must be
         bit-identical to batched dispatch — that identity *is* the batch
         twins' contract, enforced by tests/test_simturbo.py.  Like
@@ -517,27 +503,17 @@ class GPUSystem:
                 self._wf_refill(wf)
             return
         line, kind = access
-        core = self.cores[wf.core_id]
+        core_id = wf.core_id
+        core = self.cores[core_id]
         core.count_access(wf.compute_gap)
         # The core's single issue pipeline carries the memory instruction
         # plus this wavefront's trailing ALU instructions, so one memory
         # access occupies it for 1 + compute_gap cycles — this is what
         # bounds per-core L1 demand the way a real SIMT front-end does.
-        # (The issue port never carries a ledger or an owner, so the fast
-        # reservation is always equivalent.)
-        t = core.issue_port.reserve_fast(self.engine.now, 1.0 + wf.compute_gap)
-        if kind == _LOAD and self._fast:
-            self._issue_load_fast(wf, line, t)
-        else:
-            self._issue_cold(wf, line, kind, t)
-
-    def _issue_load_fast(self, wf: Wavefront, line: int, t: float) -> None:
-        """Lean LOAD issue path (uninstrumented runs; the dominant kind).
-
-        Same schedule-call order as :meth:`_issue_cold` — the MLP-headroom
-        re-issue is enqueued *before* the route hop, so same-cycle FIFO
-        ties break identically in both paths.
-        """
+        t = core.issue_port.reserve(self.engine.now, 1.0 + wf.compute_gap)
+        # The free list only fills on uninstrumented runs (see _complete);
+        # every field a recycled request carried is reset or overwritten
+        # below.
         pool = self._req_pool
         if pool:
             req = pool.pop()
@@ -545,77 +521,44 @@ class GPUSystem:
             req.l2_hit = False
             req.merged = False
         else:
-            req = MemoryRequest(0, _LOAD, self._request_bytes, 0)
+            req = MemoryRequest(0, kind, self._request_bytes, 0)
         req.addr = line << self._line_bits
-        req.kind = _LOAD
-        req.core_id = wf.core_id
+        req.kind = kind
+        req.core_id = core_id
         req.wavefront = wf
         req.issue_time = t
         req.line = line
         l2 = line % self._num_l2_slices
         req.l2_id = l2
         req.mc_id = l2 // self._slices_per_chan
-        self.outstanding += 1
-        self._n_loads += 1
-        wf.outstanding += 1
-        if wf.outstanding < wf.mlp:
-            self._schedule_issue(wf, t)
-        if self.decoupled:
-            home = self._home_of(wf.core_id, line)
-            req.dcl1_id = home
-            if self._node_credits is None:
-                self.schedule(
-                    self._rt_core_to_dcl1(t, wf.core_id, home, 1), self._l1_access, req
-                )
-            else:
-                self._enter_node(req, t)
-        else:
-            self.schedule(t, self._l1_access, req)
-
-    def _issue_cold(self, wf: Wavefront, line: int, kind: int, t: float) -> None:
-        """Issue path for STORE/ATOMIC/BYPASS and every instrumented run."""
-        if self._fast and self._req_pool:
-            req = self._req_pool.pop().reinit(
-                line << self._line_bits, kind, self._request_bytes, wf.core_id
-            )
-        else:
-            req = MemoryRequest(line << self._line_bits, kind, self._request_bytes, wf.core_id)
-        req.line = line
-        l2 = line % self._num_l2_slices
-        req.l2_id = l2
-        req.mc_id = l2 // self._slices_per_chan
-        req.wavefront = wf
-        req.issue_time = t
         self.outstanding += 1
         if self._ledger is not None:
             # The ledger keeps a reference to req, so the id() key cannot
             # be recycled while the hold is live.
             self._ledger.acquire("request", id(req), req)
+        # Stores never block the wavefront.
         if kind == _LOAD:
             self._n_loads += 1
+            wf.outstanding += 1
         elif kind == _STORE:
             self._n_stores += 1
         elif kind == _ATOMIC:
             self._n_atomics += 1
+            wf.outstanding += 1
         else:
             self._n_bypasses += 1
-
-        if kind != _STORE:
             wf.outstanding += 1
-        # Keep issuing while the wavefront has MLP headroom (stores never
-        # block, so they always leave headroom).
+        # Keep issuing while the wavefront has MLP headroom (enqueued
+        # before the route hop, which fixes the same-cycle FIFO order).
         if wf.outstanding < wf.mlp:
             self._schedule_issue(wf, t)
-
         if self.decoupled:
-            req.dcl1_id = self._home_of(wf.core_id, line)
+            req.dcl1_id = self._home_of(core_id, line)
             self._enter_node(req, t)
+        elif kind == _ATOMIC or kind == _BYPASS:
+            self.schedule(self._rt_to_l2(t, core_id, l2, 1), self._at_l2, req)
         else:
-            if kind == _ATOMIC or kind == _BYPASS:
-                t2 = self._rt_to_l2(t, wf.core_id, l2, 1)
-                self.schedule(t2, self._at_l2, req)
-            else:
-                self.schedule(t, self._l1_access, req)
+            self.schedule(t, self._l1_access, req)
 
     def _wf_refill(self, wf: Wavefront) -> None:
         core = self.cores[wf.core_id]
@@ -641,13 +584,14 @@ class GPUSystem:
         resolved here, at wiring time.  Each inlined block mirrors its
         canonical twin statement for statement:
 
-        * port reservations — ``Server.reserve_fast``;
-        * crossbar hops — ``Crossbar.traverse_fast`` (request flits are
-          always 1, so the ``service * flits`` multiply is elided there;
-          bit-exact under IEEE-754);
+        * port reservations — ``Server.reserve`` without the owner and
+          ledger checks (the fused shape attaches neither);
+        * crossbar hops — ``Crossbar.traverse`` without the ledger check
+          (request flits are always 1, so the ``service * flits``
+          multiply is elided there; bit-exact under IEEE-754);
         * home lookup — the ``interleave`` branch of
-          ``HomeMapper.make_fast_home_of`` with the Z = 1 cluster term
-          dropped (``core_id // n * m == 0``);
+          ``HomeMapper.home_of`` with the Z = 1 cluster term dropped
+          (``core_id // n * m == 0``);
         * cache probe — ``SetAssociativeCache.access_load`` with the
           LRU set's ``OrderedDict`` addressed directly;
         * event pushes — ``Engine.schedule``'s bucket append.  The
@@ -750,7 +694,7 @@ class GPUSystem:
                 if pc >= wf._length:
                     wf.done = True
                 c = wf.core_id
-                # Issue-port reservation (Server.reserve_fast).
+                # Issue-port reservation (Server.reserve).
                 srv = ports[c]
                 nf = srv.next_free
                 start = now if now > nf else nf
@@ -796,7 +740,7 @@ class GPUSystem:
                     else:
                         b.append(issue_cb)
                         b.append(wf)
-                # NoC#1 request hop, one flit (Crossbar.traverse_fast).
+                # NoC#1 request hop, one flit (Crossbar.traverse).
                 p = qin[c]
                 nf = p.next_free
                 sx = t if t > nf else nf
@@ -831,7 +775,7 @@ class GPUSystem:
             for s in range(lo + 1, hi, 2):
                 req = bucket[s]
                 idx = req.dcl1_id
-                # DC-L1 bank reservation (Server.reserve_fast).
+                # DC-L1 bank reservation (Server.reserve).
                 srv = banks[idx]
                 nf = srv.next_free
                 start = now if now > nf else nf
@@ -851,7 +795,7 @@ class GPUSystem:
                         od.move_to_end(line)
                         cache.stats.load_hits += 1
                         req.l1_hit = True
-                        # NoC#1 reply hop (Crossbar.traverse_fast).
+                        # NoC#1 reply hop (Crossbar.traverse).
                         p = rin[idx]
                         nf = p.next_free
                         sx = t if t > nf else nf

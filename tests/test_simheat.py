@@ -1,4 +1,4 @@
-"""SimHeat: twin-path drift & hot-path hygiene analysis (SH600–SH615)
+"""SimHeat: twin-path wiring & hot-path hygiene analysis (SH600–SH615)
 and its force-fast/force-slow differential replay confirmer."""
 
 import json
@@ -30,41 +30,27 @@ def _rules(findings):
     return [f.rule_id for f in findings]
 
 
-def _replace_last(src: str, old: str, new: str) -> str:
-    head, sep, tail = src.rpartition(old)
-    assert sep, f"fixture drift target {old!r} not found"
-    return head + new + tail
-
-
-# A clean lockstep twin pair: the fast body replicates the slow body
-# minus the ledger guard, and a wiring method references the fast twin.
-LOCKSTEP = """
+# A clean twin manifest: a factory of fused closures naming the scalar
+# handler it mirrors, and a wiring method that references the factory.
+TWINS = """
 FAST_PATH_PAIRS = [
-    ("Server.reserve_fast", "Server.reserve", "lockstep", {}),
+    ("System._make_twins", ("System._issue",)),
 ]
 
 
-class Server:
+class System:
     def wire(self):
-        self._reserve = self.reserve_fast
+        self._issue_run = self._make_twins()
 
-    def reserve(self, now, size=1.0, owner=None):
-        if self._ledger is not None:
-            self._ledger.note_acquire(self.name, owner, now)
-        start = now if now > self.next_free else self.next_free
-        occupancy = self.service * size
-        self.next_free = start + occupancy
-        self.busy_cycles += occupancy
-        self.num_served += 1
-        return start + occupancy + self.latency
+    def _issue(self, wf):
+        return wf.line + self.offset
 
-    def reserve_fast(self, now, size=1.0):
-        start = now if now > self.next_free else self.next_free
-        occupancy = self.service * size
-        self.next_free = start + occupancy
-        self.busy_cycles += occupancy
-        self.num_served += 1
-        return start + occupancy + self.latency
+    def _make_twins(self):
+        offset = self.offset
+
+        def issue_run(wf):
+            return wf.line + offset
+        return issue_run
 """
 
 
@@ -88,65 +74,34 @@ def test_unparsable_source_is_sh600():
     assert findings[0].severity is Severity.ERROR
 
 
-# -------------------------------------------------- SH601 (twin drift)
+# ------------------------------------------------ SH601 (manifest drift)
 
 
-def test_clean_lockstep_pair_passes():
-    assert _analyze(LOCKSTEP) == []
-
-
-def test_lockstep_arithmetic_drift_is_flagged():
-    drifted = _replace_last(
-        LOCKSTEP,
-        "return start + occupancy + self.latency",
-        "return start + occupancy + self.latency + 1.0",
-    )
-    findings = _analyze(drifted)
-    assert "SH601" in _rules(findings)
-
-
-def test_lockstep_reordered_effects_are_flagged():
-    drifted = _replace_last(
-        LOCKSTEP,
-        "        self.next_free = start + occupancy\n"
-        "        self.busy_cycles += occupancy\n",
-        "        self.busy_cycles += occupancy\n"
-        "        self.next_free = start + occupancy\n",
-    )
-    # Same effects, different order: still drift (float state updates
-    # interleave with reads in later statements).
-    assert "SH601" in _rules(_analyze(drifted))
+def test_clean_twin_manifest_passes():
+    assert _analyze(TWINS) == []
 
 
 def test_manifest_naming_a_missing_fast_def_is_sh601():
     findings = _analyze(
         """
         FAST_PATH_PAIRS = [
-            ("Server.reserve_fast", "Server.reserve", "lockstep", {}),
+            ("System._make_twins", ("System._issue",)),
         ]
 
-        class Server:
-            def reserve(self, now):
-                return now
+        class System:
+            def _issue(self, wf):
+                return wf.line
         """
     )
     assert "SH601" in _rules(findings)
-
-
-# ------------------------------------------------ SH602 (counter drift)
-
-
-def test_counter_missing_from_fast_twin_is_sh602():
-    drifted = _replace_last(LOCKSTEP, "        self.num_served += 1\n", "")
-    assert "SH602" in _rules(_analyze(drifted))
 
 
 # --------------------------------------------- SH603 (unreachable fast)
 
 
 def test_unwired_fast_twin_is_sh603():
-    unwired = LOCKSTEP.replace(
-        "    def wire(self):\n        self._reserve = self.reserve_fast\n\n",
+    unwired = TWINS.replace(
+        "    def wire(self):\n        self._issue_run = self._make_twins()\n\n",
         "",
     )
     findings = _analyze(unwired)
@@ -176,18 +131,18 @@ def test_slow_twin_call_inside_fast_twin_body_is_sh604():
     findings = _analyze(
         """
         FAST_PATH_PAIRS = [
-            ("Topo.make_fast_routes", ("Topo.core_to_dcl1",), "delegated", {}),
+            ("Topo.make_routes", ("Topo.core_to_dcl1",)),
         ]
 
 
         class Topo:
             def wire(self):
-                self._routes = self.make_fast_routes()
+                self._routes = self.make_routes()
 
             def core_to_dcl1(self, t, core, dcl1, flits):
                 return t + self.hop_latency
 
-            def make_fast_routes(self):
+            def make_routes(self):
                 def go(t, core, dcl1, flits):
                     return self.core_to_dcl1(t, core, dcl1, flits)
                 return (go,)
@@ -200,18 +155,18 @@ def test_delegating_closure_that_reimplements_is_clean():
     findings = _analyze(
         """
         FAST_PATH_PAIRS = [
-            ("Topo.make_fast_routes", ("Topo.core_to_dcl1",), "delegated", {}),
+            ("Topo.make_routes", ("Topo.core_to_dcl1",)),
         ]
 
 
         class Topo:
             def wire(self):
-                self._routes = self.make_fast_routes()
+                self._routes = self.make_routes()
 
             def core_to_dcl1(self, t, core, dcl1, flits):
                 return t + self.hop_latency
 
-            def make_fast_routes(self):
+            def make_routes(self):
                 lat = self.hop_latency
 
                 def go(t, core, dcl1, flits):
@@ -391,28 +346,22 @@ def _seeded_tree(tmp_path, rel, old, new):
     return root
 
 
-def test_seeded_reserve_drift_is_caught_package_wide(tmp_path):
+def test_seeded_fstring_in_crossbar_traverse_is_sh611(tmp_path):
+    # Crossbar.traverse is hot because its module names it in
+    # SIMHEAT_HOT_FUNCTIONS (nothing schedules it directly); an f-string
+    # outside its ledger guard would be built on every NoC hop.
     root = _seeded_tree(
-        tmp_path, "sim/resources.py",
-        "        return start + occupancy + self.latency\n",
-        "        return start + occupancy + self.latency * 1.0000001\n",
+        tmp_path, "noc/crossbar.py",
+        "        self.flit_hops += flits\n        p = self._in[in_port]\n",
+        "        self.flit_hops += flits\n"
+        "        self.last_hop = f\"{in_port}->{out_port}\"\n"
+        "        p = self._in[in_port]\n",
     )
     findings = run_heat([str(root)])
-    assert "SH601" in _rules(findings)
-    assert any("reserve" in f.pair for f in findings if f.rule_id == "SH601")
-
-
-def test_seeded_counter_drop_is_caught_package_wide(tmp_path):
-    # Drop the load counter from the fast issue twin (_issue_load_fast);
-    # the slow twin still bumps it, and it is not a declared
-    # slow-only counter.
-    root = _seeded_tree(
-        tmp_path, "sim/system.py",
-        "        self.outstanding += 1\n        self._n_loads += 1\n",
-        "        self.outstanding += 1\n",
-    )
-    findings = run_heat([str(root)])
-    assert "SH602" in _rules(findings)
+    hits = [f for f in findings if f.rule_id == "SH611"]
+    assert hits
+    assert all(f.handler == "Crossbar.traverse" for f in hits)
+    assert all(f.path.endswith("crossbar.py") for f in hits)
 
 
 # ----------------------------------------------------------- confirmer
@@ -448,7 +397,7 @@ def test_report_grades_findings_by_probe_evidence():
     from repro.analysis.simheat import HeatFinding
 
     drift = HeatFinding("x.py", 1, 0, "SH601", Severity.ERROR, "drift",
-                        pair="reserve_fast->reserve")
+                        pair="Topo.make_routes->Topo.core_to_dcl1")
     report_bad = HeatReport(
         [("P-2MM", "Sh40")], 0.1,
         [HeatProbe("twin-diff", "P-2MM/Sh40", False, "diverged")])
@@ -461,12 +410,12 @@ def test_report_grades_findings_by_probe_evidence():
         [HeatProbe("twin-diff", "P-2MM/Sh40", True)])
     assert report_ok.verdict_for(drift) == "BENIGN"
 
-    homing = HeatFinding("x.py", 1, 0, "SH601", Severity.ERROR, "drift",
-                         pair="make_fast_home_of->home_of")
+    fused = HeatFinding("x.py", 1, 0, "SH601", Severity.ERROR, "drift",
+                        pair="GPUSystem._make_spec_twins->GPUSystem._wf_issue")
     undecoupled = HeatReport(
         [("C-BLK", "Baseline")], 0.1,
         [HeatProbe("twin-diff", "C-BLK/Baseline", True)])
-    assert undecoupled.verdict_for(homing) == "UNOBSERVED"
+    assert undecoupled.verdict_for(fused) == "UNOBSERVED"
 
     hot = HeatFinding("x.py", 1, 0, "SH611", Severity.WARNING, "alloc",
                       handler="System._complete")

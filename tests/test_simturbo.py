@@ -10,10 +10,10 @@ Three layers of protection:
 2. **Cross-instrumentation identity** — one real Figure-8 grid point run
    plain / sanitized / watchdog / shadow-shuffled / profiled must yield
    one fingerprint: instrumentation observes, it never steers.
-3. **Fast/slow component equivalence** — ``reserve_fast`` /
-   ``traverse_fast`` / ``make_fast_routes`` / ``make_fast_home_of``
-   replicate their instrumented counterparts' float arithmetic exactly,
-   not approximately.
+3. **Wiring parity** — fast (pooled, fused) wiring, forced-slow wiring
+   and sanitized runs of one config share one fingerprint, for every
+   access kind the issue path dispatches on, and batched dispatch
+   matches scalar dispatch.
 """
 
 import hashlib
@@ -40,9 +40,9 @@ GOLDEN = {
         "41fd6bac713880cf23a42798c89f33ca9c4993d2b7ed7949b0db33c75cbf727a",
     ("C-NN", "Pr40", 0.1):
         "3d7420f339d77165d82b1d6bfd1e37a47a83d9921a589796dfa392d6cd8538e4",
-    # Decoupled clustered point (exercises the closure-mode fast homing
-    # and the clustered crossbar route twins); captured when SimHeat
-    # landed, after force_slow_path() verified fast == slow bit-exactly.
+    # Decoupled clustered point (exercises clustered homing and the
+    # per-range NoC#2 routes); captured when SimHeat landed, after
+    # force_slow_path() verified fast == slow bit-exactly.
     ("C-SP", "Sh40+C10", 0.1):
         "1ecc857dbe6d98ba36ad8122f1dce347a78e24c2679ddfc7938688327321a512",
 }
@@ -119,88 +119,14 @@ def test_observability_fields_are_populated_but_not_identity():
     assert clone.wall_time_s == 0.0
 
 
-# ------------------------------------------------------ fast/slow equivalence
-
-
-def test_reserve_fast_is_bit_equal_to_reserve():
-    from repro.sim.resources import Server
-
-    a = Server("a", service=0.5, latency=7.0)
-    b = Server("b", service=0.5, latency=7.0)
-    times = [0.0, 0.25, 0.25, 3.5, 3.5, 3.5, 10.0, 10.125, 50.0]
-    sizes = [1.0, 2.0, 0.5, 1.0, 1.0, 4.0, 1.0, 1.0, 2.5]
-    for t, s in zip(times, sizes):
-        assert a.reserve(t, s) == b.reserve_fast(t, s)
-    assert a.next_free == b.next_free
-    assert a.busy_cycles == b.busy_cycles
-    assert a.num_served == b.num_served
-
-
-def test_traverse_fast_is_bit_equal_to_traverse():
-    from repro.noc.crossbar import Crossbar
-
-    a = Crossbar("a", 4, 4, cycles_per_flit=0.5, latency=3.0)
-    b = Crossbar("b", 4, 4, cycles_per_flit=0.5, latency=3.0)
-    hops = [
-        (0.0, 0, 1, 4), (0.5, 0, 1, 4), (0.5, 2, 1, 1),
-        (7.0, 3, 0, 2), (7.0, 3, 3, 8), (20.0, 1, 2, 1),
-    ]
-    for now, i, o, flits in hops:
-        assert a.traverse(now, i, o, flits) == b.traverse_fast(now, i, o, flits)
-    assert a.flit_hops == b.flit_hops
-
-
-@pytest.mark.parametrize(
-    "spec",
-    [
-        DesignSpec.baseline(),
-        DesignSpec.private(40),
-        DesignSpec.shared(40),
-        DesignSpec.clustered(40, 10),
-        DesignSpec.cdxbar(),
-    ],
-    ids=lambda s: s.label,
-)
-def test_fast_routes_match_topology_methods(spec):
-    """The prebound route closures replicate the NoCTopology methods hop
-    for hop — same ports, same float arithmetic — on fresh twin systems."""
-    app = get_app("P-2MM")
-    sys_a = GPUSystem(app, spec, SimConfig(scale=0.05))
-    sys_b = GPUSystem(app, spec, SimConfig(scale=0.05))
-    fast = sys_b.topo.make_fast_routes()
-    slow = (
-        sys_a.topo.core_to_dcl1, sys_a.topo.dcl1_to_core,
-        sys_a.topo.to_l2, sys_a.topo.from_l2,
-    )
-    gpu = sys_a.cfg.gpu
-    n_l1 = len(sys_a.l1_banks)
-    n_l2 = gpu.num_l2_slices
-    if fast[0] is not None:
-        for t, core, dcl1 in [(0.0, 0, 0), (1.5, 7, n_l1 - 1), (1.5, 12, 3)]:
-            assert slow[0](t, core, dcl1, 2) == fast[0](t, core, dcl1, 2)
-            assert slow[1](t, dcl1, core, 2) == fast[1](t, dcl1, core, 2)
-    for t, src, l2 in [(0.0, 0, 0), (2.0, 1, n_l2 - 1), (2.0, 1, n_l2 - 1)]:
-        assert slow[2](t, src, l2, 3) == fast[2](t, src, l2, 3)
-        assert slow[3](t, l2, src, 3) == fast[3](t, l2, src, 3)
-
-
-def test_fast_home_of_matches_home_of():
-    for spec in (DesignSpec.shared(40), DesignSpec.clustered(40, 10),
-                 DesignSpec.private(40)):
-        sys_ = GPUSystem(get_app("C-NN"), spec, SimConfig(scale=0.05))
-        fast = sys_.home.make_fast_home_of()
-        for core in (0, 3, sys_.cfg.gpu.num_cores - 1):
-            for line in (0, 1, 39, 40, 41, 12345):
-                assert fast(core, line) == sys_.home.home_of(core, line)
-
-
 # ------------------------------------------------- forced slow-path parity
 #
 # GPUSystem.force_slow_path() is SimHeat's differential-confirmer knob:
-# it unwires the hot path without touching SimConfig (so the cache key
-# and fingerprint inputs are untouched) and the slow twins carry the
-# whole simulation.  Fast and forced-slow runs must be bit-identical for
-# every access kind the issue path dispatches on.
+# it runs without the request pool and the fused twins, and with owner
+# attribution on every bank reservation, without touching SimConfig (so
+# the cache key and fingerprint inputs are untouched).  A sanitized run goes through the same hop code with the
+# ledger checks live.  Fast, forced-slow and sanitized runs must be
+# bit-identical for every access kind the issue path dispatches on.
 
 
 def _twin_hashes(app, spec, scale=0.05):
@@ -209,13 +135,14 @@ def _twin_hashes(app, spec, scale=0.05):
     slow_sys = GPUSystem(app, spec, cfg)
     slow_sys.force_slow_path()
     slow = slow_sys.run()
-    return fingerprint_hash(fast), fingerprint_hash(slow)
+    sanitized = GPUSystem(app, spec, SimConfig(scale=scale, sanitize=True)).run()
+    return fingerprint_hash(fast), fingerprint_hash(slow), fingerprint_hash(sanitized)
 
 
 def test_forced_slow_path_parity_store_heavy():
-    # C-SP's store fraction drives the STORE branch of _issue_cold.
-    fast, slow = _twin_hashes(get_app("C-SP"), DesignSpec.shared(40))
-    assert fast == slow
+    # C-SP's store fraction drives the STORE branch of the issue path.
+    fast, slow, sanitized = _twin_hashes(get_app("C-SP"), DesignSpec.shared(40))
+    assert fast == slow == sanitized
 
 
 def test_forced_slow_path_parity_atomic_and_bypass():
@@ -224,13 +151,13 @@ def test_forced_slow_path_parity_atomic_and_bypass():
     app = dataclasses.replace(
         get_app("P-2MM"), atomic_fraction=0.05, bypass_fraction=0.05
     )
-    fast, slow = _twin_hashes(app, DesignSpec.clustered(40, 10))
-    assert fast == slow
+    fast, slow, sanitized = _twin_hashes(app, DesignSpec.clustered(40, 10))
+    assert fast == slow == sanitized
 
 
 def test_forced_slow_path_parity_decoupled_design():
-    fast, slow = _twin_hashes(get_app("T-AlexNet"), DesignSpec.cdxbar())
-    assert fast == slow
+    fast, slow, sanitized = _twin_hashes(get_app("T-AlexNet"), DesignSpec.cdxbar())
+    assert fast == slow == sanitized
 
 
 def test_force_slow_path_rejected_after_run():
@@ -239,24 +166,6 @@ def test_force_slow_path_rejected_after_run():
     sys_.run()
     with pytest.raises(RuntimeError):
         sys_.force_slow_path()
-
-
-def test_memory_request_reinit_resets_every_slot():
-    from repro.gpu.request import AccessKind, MemoryRequest
-
-    req = MemoryRequest(0x80, AccessKind.LOAD, 32, 3)
-    req.wavefront = object()
-    req.issue_time = 9.0
-    req.line = 2
-    req.dcl1_id = 4
-    req.l2_id = 5
-    req.mc_id = 1
-    req.l1_hit = req.l2_hit = req.merged = True
-    recycled = req.reinit(0x40, AccessKind.STORE, 16, 7)
-    fresh = MemoryRequest(0x40, AccessKind.STORE, 16, 7)
-    assert recycled is req
-    for slot in MemoryRequest.__slots__:
-        assert getattr(recycled, slot) == getattr(fresh, slot), slot
 
 
 def test_wavefront_materializes_streams_to_plain_ints():
@@ -286,7 +195,7 @@ def test_wavefront_materializes_streams_to_plain_ints():
 # ------------------------------------------------ SimVec batched dispatch
 #
 # GPUSystem.force_scalar_dispatch() is the SimVec differential confirmer:
-# same fast wiring, but every event runs its scalar fast twin one call at
+# same fast wiring, but every event runs its scalar handler one call at
 # a time instead of per-run through the batch twins.  Batched, scalar and
 # forced-slow runs of one config must produce one fingerprint — that
 # identity is the fused batch twins' whole contract.  Sh40/T-AlexNet
@@ -319,6 +228,7 @@ def _three_way_hashes(app, spec, scale=0.1, **cfg_kw):
         ("T-AlexNet", "Baseline"),   # coupled: no DC-L1 level
         ("T-ResNet", "Pr40"),        # private homes
         ("C-SP", "Sh40+C10"),        # clustered: scalar dispatch
+        ("T-AlexNet", "Sh40+C10"),   # clustered, load-dominated
     ],
 )
 def test_batched_dispatch_matches_scalar_and_slow(app_name, design):

@@ -75,6 +75,48 @@ class TestShapesAgree:
                 t = topo.dcl1_to_core(t, node, core, 1)
         assert t > 0
 
+    def test_routes_reserve_the_ports_geometry_names(self, spec):
+        """Each route bumps ``num_served`` on exactly one input and one
+        output port of exactly the crossbar the geometry helpers name
+        (the closures inline those helpers as ``%``/``//``)."""
+        geo, topo = build(spec)
+        amap = AddressMap(128, 32, 16)
+        home = HomeMapper(geo)
+        m = geo.dcl1_per_cluster
+
+        def served():
+            return {
+                (xb.name, side, i): port.num_served
+                for xb in topo.all_crossbars()
+                for side, group in (("in", xb.in_ports), ("out", xb.out_ports))
+                for i, port in enumerate(group)
+            }
+
+        def assert_hop(route, args, xb, in_port, out_port):
+            before = served()
+            route(0.0, *args, 1)
+            after = served()
+            bumped = {k: after[k] - before[k] for k in after if after[k] != before[k]}
+            assert bumped == {(xb.name, "in", in_port): 1, (xb.name, "out", out_port): 1}
+
+        for core in range(0, 80, 7):
+            for line in range(0, 400, 13):
+                node = home.home_of(core, line)
+                l2 = amap.l2_slice_of_line(line)
+                cluster = geo.cluster_of_core(core)
+                assert_hop(topo.core_to_dcl1, (core, node), topo.noc1_req[cluster],
+                           geo.core_port_in_cluster(core), geo.dcl1_port_in_cluster(node))
+                assert_hop(topo.dcl1_to_core, (node, core), topo.noc1_rep[cluster],
+                           geo.dcl1_port_in_cluster(node), geo.core_port_in_cluster(core))
+                if geo.noc2_partitioned:
+                    r = geo.dcl1_range_of(node)
+                    z = geo.cluster_of_dcl1(node)
+                    assert_hop(topo.to_l2, (node, l2), topo.noc2_req[r], z, l2 // m)
+                    assert_hop(topo.from_l2, (l2, node), topo.noc2_rep[r], l2 // m, z)
+                else:
+                    assert_hop(topo.to_l2, (node, l2), topo.noc2_req[0], node, l2)
+                    assert_hop(topo.from_l2, (l2, node), topo.noc2_rep[0], l2, node)
+
     def test_total_l1_capacity_preserved(self, spec):
         from repro.sim.config import GPUConfig
 
