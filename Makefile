@@ -60,7 +60,7 @@ shard:
 	PYTHONPATH=src $(PYTHON) -m repro.cli shard --strict src/repro
 	PYTHONPATH=src $(PYTHON) -m repro.cli shard --confirm --scale 0.1
 
-# SimHeat: static twin-path drift & hot-path hygiene pass, then a
+# SimHeat: static hot-path hygiene pass, then a
 # force-fast vs force-slow differential replay (bit-identical
 # fingerprints required) with a tracemalloc allocation profile of the
 # hot handlers.
@@ -89,13 +89,18 @@ sanitize-test:
 profile:
 	PYTHONPATH=src $(PYTHON) -m repro.cli profile --app T-AlexNet --design Sh40 --scale $(SCALE)
 
-# Engine throughput smoke: fingerprint-gated; timing recorded in
-# benchmarks/results/engine.txt and machine-readably in
-# benchmarks/results/engine.json (the CI perf-regression baseline —
-# commit the refreshed json to re-baseline).
+# Paired grid perf gate: this working tree (uncommitted edits included)
+# against a clone checked out at PARENT, alternating perfbench runs on
+# grid-serial and figures-cold (exit 0 ok, 1 regression, 2 nothing
+# compared; see benchmarks/README.md).  PARENT defaults to HEAD, the
+# parent of uncommitted work; once the change is committed, pass
+# PARENT=HEAD~1.
+PARENT ?= HEAD
 perf-smoke:
-	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/test_bench_engine.py -q
-	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/test_bench_sweep.py -q
+	rm -rf .perf-parent
+	git clone -q . .perf-parent
+	git -C .perf-parent checkout -q $(PARENT)
+	$(PYTHON) benchmarks/compare_perfbench.py .perf-parent .
 
 figures:
 	$(PYTHON) examples/paper_figures.py --all --scale $(SCALE)

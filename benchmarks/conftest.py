@@ -32,9 +32,3 @@ def results_dir() -> pathlib.Path:
     RESULTS_DIR.mkdir(exist_ok=True)
     return RESULTS_DIR
 
-
-@pytest.fixture(scope="session")
-def sweep_cache_dir(tmp_path_factory) -> pathlib.Path:
-    """Fresh persistent-cache root shared by the sweep benches, so the
-    cold-parallel run populates it and the warm run is served from it."""
-    return tmp_path_factory.mktemp("sweep-cache")

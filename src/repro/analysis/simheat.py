@@ -1,27 +1,21 @@
-"""SimHeat — twin-path wiring & hot-path performance analyzer.
+"""SimHeat — hot-path performance analyzer.
 
 Each hop of the request lifecycle (``Server.reserve``,
 ``Crossbar.traverse``, the route and ``home_of`` closures, the issue
-path) has one implementation, with instrumentation behind ``is not None``
-checks.  The one remaining twin family is the SimVec fused batch twins
-(``GPUSystem._make_spec_twins``), whose closures hand-inline the scalar
-handlers for the single-cluster shape.  Their equivalence is guarded
-dynamically — the differential confirmers (``force_scalar_dispatch``,
-``force_slow_path``) and the golden fingerprints in
-``tests/test_simturbo.py``; SimHeat adds static wiring checks, plus
-review-time hygiene rules for the hot handlers themselves.
+path) and each event handler has one implementation, with
+instrumentation behind ``is not None`` checks.  The fast wiring differs
+from the instrumented one only in request-pool recycling and owner
+attribution; their equivalence is guarded dynamically, by the
+force-fast/force-slow replay below and the golden fingerprints in
+``tests/test_simturbo.py``.  SimHeat adds review-time hygiene rules
+for the hot handlers themselves.
 
-Rule family one — twin-path wiring.  Sim-core modules declare a
-``FAST_PATH_PAIRS`` manifest: ``(fast_qualname, slow_qualname(s))``
-tuples naming each fast variant and the canonical code it mirrors.  The
-analyzer requires the fast definition to exist (SH601) and to be wired
-in (SH603), and flags a canonical call made on the fast path (SH604).
-
-Rule family two — hot-path perf anti-patterns, applied to *hot
-handlers*: every callback the class schedules, the declared fast twins,
-their transitive self-call closure (skipping calls made under elided
-instrumentation guards), and the functions a module names in
-``SIMHEAT_HOT_FUNCTIONS``.
+The rules (SH611–SH615) flag hot-path perf anti-patterns in *hot
+handlers*: every callback the class schedules, their transitive
+self-call closure (skipping calls made under elided instrumentation
+guards), and the functions a module names in ``SIMHEAT_HOT_FUNCTIONS``.
+SH601/SH603/SH604, the wiring checks of the retired fused batch twins,
+are retired with them.
 
 The dynamic half, :func:`confirm_heat`, replays a small app/design grid
 twice — fast wiring vs. :meth:`GPUSystem.force_slow_path` — and requires
@@ -53,7 +47,6 @@ from repro.analysis.framework import (
     Tool,
     add_grid_arguments,
     parse_grid,
-    sort_findings,
 )
 from repro.analysis.simrace import (
     diff_fingerprints,
@@ -74,13 +67,7 @@ __all__ = [
 
 HEAT_RULES: List[Rule] = [
     ("SH600", Severity.ERROR,
-     "module failed to parse (twin manifests unverifiable)"),
-    ("SH601", Severity.ERROR,
-     "FAST_PATH_PAIRS names a fast twin that is not defined"),
-    ("SH603", Severity.ERROR,
-     "unreachable fast path (never wired, or gate can never hold)"),
-    ("SH604", Severity.ERROR,
-     "slow-twin call inside a fast-path branch"),
+     "module failed to parse (hot-path manifests unverifiable)"),
     ("SH611", Severity.WARNING,
      "per-event allocation in a hot handler (container/closure/f-string)"),
     ("SH612", Severity.WARNING,
@@ -119,37 +106,17 @@ _LOG_METHODS: Set[str] = {"debug", "info", "warning", "error", "critical",
 
 @dataclass(frozen=True)
 class HeatFinding(Finding):
-    """One twin-wiring or hot-path-hygiene violation."""
+    """One hot-path-hygiene violation."""
 
-    #: Hot handler the finding sits in (family two; confirmer grading).
+    #: Hot handler the finding sits in (confirmer grading).
     handler: str = ""
-    #: ``fast->slow`` pair label (family one; confirmer grading).
-    pair: str = ""
 
 
 # ------------------------------------------------------------ manifests
 
 
 @dataclass
-class _Pair:
-    fast: str                  # "Class.method"
-    slows: Tuple[str, ...]     # one or more "Class.method"
-
-    @property
-    def label(self) -> str:
-        return f"{self.fast}->{self.slows[0]}"
-
-    @property
-    def fast_name(self) -> str:
-        return self.fast.rsplit(".", 1)[-1]
-
-    def slow_names(self) -> Set[str]:
-        return {s.rsplit(".", 1)[-1] for s in self.slows}
-
-
-@dataclass
 class _Manifest:
-    pairs: List[_Pair] = field(default_factory=list)
     hot_functions: Tuple[str, ...] = ()
     safe_sinks: Set[str] = field(default_factory=set)
     elidable: Set[str] = field(default_factory=set)
@@ -162,18 +129,14 @@ def _extract_manifest(tree: ast.Module) -> _Manifest:
                 and isinstance(stmt.targets[0], ast.Name)):
             continue
         name = stmt.targets[0].id
-        if name not in ("FAST_PATH_PAIRS", "SIMHEAT_HOT_FUNCTIONS",
+        if name not in ("SIMHEAT_HOT_FUNCTIONS",
                         "SIMHEAT_REQUEST_SAFE_SINKS", "SIMHEAT_ELIDABLE"):
             continue
         try:
             value = ast.literal_eval(stmt.value)
         except (ValueError, SyntaxError):
             continue
-        if name == "FAST_PATH_PAIRS":
-            for fast, slow in value:
-                slows = tuple(slow) if isinstance(slow, (tuple, list)) else (slow,)
-                man.pairs.append(_Pair(fast, slows))
-        elif name == "SIMHEAT_HOT_FUNCTIONS":
+        if name == "SIMHEAT_HOT_FUNCTIONS":
             man.hot_functions = tuple(value)
         elif name == "SIMHEAT_REQUEST_SAFE_SINKS":
             man.safe_sinks = set(value)
@@ -336,129 +299,6 @@ def _self_call_names(func: ast.FunctionDef, elidable: Set[str]) -> Set[str]:
     return out
 
 
-# -------------------------------------------------------- gate checks
-
-
-def _check_gates(tree: ast.Module, man: _Manifest,
-                 defs: Dict[str, ast.FunctionDef], refs: Dict[str, int],
-                 out: Collector) -> None:
-    """SH603: a fast path that can never run — either its gating
-    predicate is contradictory, or the fast member is never wired in."""
-    # (b) contradictory gates: within a class whose wiring assigns
-    # ``self._fast = self.<X> is None ...``, a test ANDing a positive
-    # ``_fast`` with ``self.<X> is not None`` can never hold.
-    for cls in [s for s in tree.body if isinstance(s, ast.ClassDef)]:
-        none_keyed: Set[str] = set()
-        for node in ast.walk(cls):
-            if isinstance(node, ast.Assign) and len(node.targets) == 1 \
-                    and _self_attr(node.targets[0]) == "_fast":
-                for sub in ast.walk(node.value):
-                    if isinstance(sub, ast.Compare) and len(sub.ops) == 1 \
-                            and isinstance(sub.ops[0], ast.Is) \
-                            and isinstance(sub.comparators[0], ast.Constant) \
-                            and sub.comparators[0].value is None:
-                        attr = _self_attr(sub.left)
-                        if attr is not None:
-                            none_keyed.add(attr)
-        if not none_keyed:
-            continue
-        for node in ast.walk(cls):
-            if not isinstance(node, (ast.If, ast.IfExp)):
-                continue
-            test = node.test
-            if not (isinstance(test, ast.BoolOp)
-                    and isinstance(test.op, ast.And)):
-                continue
-            has_fast = any(
-                (isinstance(op, ast.Attribute) and op.attr == "_fast")
-                or (isinstance(op, ast.Name) and op.id == "_fast")
-                for op in test.values)
-            contradicted = any(
-                isinstance(op, ast.Compare) and len(op.ops) == 1
-                and isinstance(op.ops[0], ast.IsNot)
-                and isinstance(op.comparators[0], ast.Constant)
-                and op.comparators[0].value is None
-                and _self_attr(op.left) in none_keyed
-                for op in test.values)
-            if has_fast and contradicted:
-                out.at(
-                    test, "SH603",
-                    "fast-path gate can never hold: self._fast implies the "
-                    "ledger is None but the gate also requires it attached")
-    # (a) unreferenced fast member.
-    for pair in man.pairs:
-        if refs.get(pair.fast_name, 0) < 1:
-            fdef = defs.get(pair.fast)
-            out.add(
-                "SH603", fdef.lineno if fdef is not None else 1,
-                f"fast path {pair.fast} is declared in FAST_PATH_PAIRS "
-                "but never referenced (never wired in)",
-                pair=pair.label)
-
-
-def _check_slow_calls_in_fast(tree: ast.Module, man: _Manifest,
-                              out: Collector) -> None:
-    """SH604: a slow-twin call inside a positive ``self._fast`` branch or
-    inside a fast twin's own body."""
-    slow_names: Set[str] = set()
-    for pair in man.pairs:
-        slow_names |= pair.slow_names()
-    if not slow_names:
-        return
-
-    def scan(stmts: Sequence[ast.stmt], in_fast: bool, gates: Set[str],
-             pair_label: str) -> None:
-        for stmt in stmts:
-            if isinstance(stmt, (ast.If,)):
-                truth = _fast_truthiness(stmt.test, gates)
-                scan(stmt.body, in_fast or truth is True, gates, pair_label)
-                scan(stmt.orelse, in_fast if truth is None else
-                     (in_fast or truth is False is False and False),
-                     gates, pair_label)
-                continue
-            for node in ast.walk(stmt):
-                if isinstance(node, ast.IfExp):
-                    truth = _fast_truthiness(node.test, gates)
-                    if truth is True:
-                        _flag_calls(node.body, pair_label)
-                    elif truth is False:
-                        _flag_calls(node.orelse, pair_label)
-                if in_fast and isinstance(node, ast.Call):
-                    _flag_call(node, pair_label)
-            if in_fast:
-                continue
-            # Non-fast region: IfExp true-arms gated on fast still count,
-            # handled in the walk above.
-
-    def _flag_calls(node: ast.AST, pair_label: str) -> None:
-        for sub in ast.walk(node):
-            if isinstance(sub, ast.Call):
-                _flag_call(sub, pair_label)
-
-    flagged: Set[int] = set()
-
-    def _flag_call(node: ast.Call, pair_label: str) -> None:
-        name = getattr(node.func, "attr", None) or (
-            node.func.id if isinstance(node.func, ast.Name) else None)
-        if name in slow_names and id(node) not in flagged and out.at(
-                node, "SH604",
-                f"slow twin {name}() called on the fast path "
-                "(use the fast twin or hoist the call)", pair=pair_label):
-            flagged.add(id(node))
-
-    fast_defs = {p.fast: p.label for p in man.pairs}
-    for cls in [s for s in tree.body if isinstance(s, ast.ClassDef)]:
-        for func in [s for s in cls.body if isinstance(s, ast.FunctionDef)]:
-            qual = f"{cls.name}.{func.name}"
-            gates = _fast_gate_names(func)
-            if qual in fast_defs:
-                # Everything in a fast twin's body is fast context,
-                # including closures a factory builds.
-                scan(func.body, True, gates, fast_defs[qual])
-            else:
-                scan(func.body, False, gates, "")
-
-
 # ----------------------------------------------------- hot-path hygiene
 
 
@@ -474,10 +314,6 @@ def _hot_handlers(tree: ast.Module, man: _Manifest,
         seeds: Set[str] = set()
         for func in [s for s in cls.body if isinstance(s, ast.FunctionDef)]:
             seeds |= _schedule_callbacks(func)
-        for pair in man.pairs:
-            c, _, m = pair.fast.rpartition(".")
-            if c == cls.name:
-                seeds.add(m)
         # Transitive self-call closure, skipping elided contexts.
         frontier = [s for s in seeds]
         seen: Set[str] = set()
@@ -549,7 +385,7 @@ class _HotScanner:
                 self._scan_stmts(stmt.finalbody, in_loop)
                 continue
             if isinstance(stmt, ast.FunctionDef):
-                continue  # nested factories are their own twins
+                continue  # nested definitions are not scanned
             self._scan_expr_stmt(stmt, in_loop)
 
     def _scan_test(self, test: ast.AST, in_loop: bool) -> None:
@@ -710,72 +546,18 @@ class _HotScanner:
 # ------------------------------------------------------------- drivers
 
 
-def _reference_counts(trees: Sequence[ast.Module],
-                      manifests: Sequence[_Manifest]) -> Dict[str, int]:
-    """Package-wide attribute/name reference counts for the fast members
-    (the SH603 never-wired check).  The defining FunctionDef itself does
-    not contribute (its name is not a Name/Attribute node)."""
-    wanted: Set[str] = set()
-    for man in manifests:
-        for pair in man.pairs:
-            wanted.add(pair.fast_name)
-    counts: Dict[str, int] = {}
-    for tree in trees:
-        for node in ast.walk(tree):
-            name = None
-            if isinstance(node, ast.Attribute) and node.attr in wanted:
-                name = node.attr
-            elif isinstance(node, ast.Name) and node.id in wanted:
-                name = node.id
-            if name is not None:
-                counts[name] = counts.get(name, 0) + 1
-    return counts
-
-
-def _analyze_tree(tree: ast.Module, out: Collector,
-                  refs: Dict[str, int]) -> None:
+def _check(tree: ast.Module, out: Collector) -> None:
     man = _extract_manifest(tree)
     elidable = ELIDABLE_ATTRS | man.elidable
-    defs = _collect_defs(tree)
-    for pair in man.pairs:
-        if pair.fast not in defs:
-            out.add("SH601", 1,
-                    f"FAST_PATH_PAIRS names {pair.fast} but no such "
-                    "definition exists in this module", pair=pair.label)
-
-    if out.wants("SH603"):
-        _check_gates(tree, man, defs, refs, out)
-    if out.wants("SH604"):
-        _check_slow_calls_in_fast(tree, man, out)
-
     for qual, func in sorted(_hot_handlers(tree, man, elidable).items()):
         _HotScanner(qual, func, man, elidable, out).scan()
-
-
-def _check(tree: ast.Module, out: Collector) -> None:
-    """One module on its own: references for the SH603 never-wired check
-    are resolved within this source only."""
-    _analyze_tree(tree, out, _reference_counts([tree], [_extract_manifest(tree)]))
-
-
-def _run(paths: Sequence[str], wanted: Optional[Set[str]]) -> List[Finding]:
-    """Every module under ``paths``.  The SH603 never-wired check resolves
-    references package-wide (a fast twin defined in one module and wired
-    in another is not unreachable)."""
-    parsed = list(TOOL.scan(paths, wanted))
-    trees = [tree for tree, _ in parsed if tree is not None]
-    refs = _reference_counts(trees, [_extract_manifest(t) for t in trees])
-    for tree, out in parsed:
-        if tree is not None:
-            _analyze_tree(tree, out, refs)
-    return sort_findings(f for _, out in parsed for f in out.findings)
 
 
 # ------------------------------------------------------------ confirmer
 
 
 #: Default force-fast vs force-slow replay grid: the acceptance workload
-#: on Sh40 (fused twins engage), a clustered decoupled point, a
+#: on Sh40 (single-cluster DC-L1), a clustered decoupled point, a
 #: store-heavy app (C-SP, 30% stores — exercises pooled non-LOAD
 #: requests), and the baseline (no NoC#1, no home mapping).
 DEFAULT_CONFIRM_GRID: Tuple[Tuple[str, str], ...] = (
@@ -803,9 +585,6 @@ class HeatReport:
         self.probes = probes
         #: Per-handler ProfileRows from the tracemalloc-backed run.
         self.alloc_rows = list(alloc_rows)
-        self.any_decoupled = any(
-            design.lower() not in ("baseline", "cdxbar")
-            for _, design in self.grid)
 
     @property
     def ok(self) -> bool:
@@ -839,16 +618,6 @@ class HeatReport:
         return max(2.0 * median, 64.0)
 
     def verdict_for(self, finding: HeatFinding) -> str:
-        if finding.rule_id in ("SH601", "SH603", "SH604", "SH600"):
-            twin_failed = any(p.kind == "twin-diff" and not p.ok
-                              for p in self.probes)
-            if twin_failed:
-                return CONFIRMED
-            # The fused twins only engage on decoupled designs.
-            needs_decoupled = "_make_spec_twins" in finding.pair
-            if needs_decoupled and not self.any_decoupled:
-                return UNOBSERVED
-            return BENIGN
         row = self._alloc_row_for(finding.handler) if finding.handler else None
         if row is None:
             return UNOBSERVED
@@ -959,7 +728,7 @@ def _add_confirm_arguments(parser: argparse.ArgumentParser) -> None:
     add_grid_arguments(parser, DEFAULT_CONFIRM_GRID)
     parser.add_argument("--no-alloc", action="store_true",
                         help="skip the tracemalloc allocation profile in --confirm "
-                             "(twin replays only; much faster)")
+                             "(fast/slow replays only; much faster)")
 
 
 def _confirm(args: argparse.Namespace, findings: List[Finding]) -> HeatReport:
@@ -970,15 +739,14 @@ def _confirm(args: argparse.Namespace, findings: List[Finding]) -> HeatReport:
 TOOL = Tool(
     name="simheat",
     command="heat",
-    checks="twin-path & hot-path hygiene",
-    help="SimHeat: twin-path drift & hot-path performance hygiene "
+    checks="hot-path hygiene",
+    help="SimHeat: hot-path performance hygiene "
          "(static AST pass and/or force-fast vs force-slow replay "
          "confirmation)",
     rules=HEAT_RULES,
     parse_rule="SH600",
     check=_check,
     finding=HeatFinding,
-    run=_run,
     confirm=Confirmer(
         help="replay a small grid with the hot path forced on and "
              "forced off, requiring bit-identical fingerprints, "

@@ -18,7 +18,7 @@ The subcommands cover the library's main entry points::
     repro purity --confirm --scale 0.1         # mutate-and-replay confirmation
     repro shard src/repro                      # SimShard distribution safety
     repro shard --confirm --scale 0.1          # serial/fork/spawn replay diff
-    repro heat src/repro                       # SimHeat twin-path/hot-path scan
+    repro heat src/repro                       # SimHeat hot-path hygiene scan
     repro heat --confirm --scale 0.1           # force-fast vs force-slow replay
     repro analyze src/repro                    # the full hexapod, one table
     repro analyze --json src/repro             # machine-readable CI artifact

@@ -28,7 +28,6 @@ class Wavefront:
     __slots__ = (
         "core_id", "slot", "stream", "pc", "compute_gap", "done",
         "mlp", "outstanding", "issue_pending", "_length", "_lines", "_kinds",
-        "_issue_size", "_instr_inc",
     )
 
     def __init__(self, core_id: int, slot: int, stream, compute_gap: float, mlp: int = 1):
@@ -37,12 +36,6 @@ class Wavefront:
         self.core_id = core_id
         self.slot = slot
         self.compute_gap = compute_gap
-        # Issue-path derivatives of compute_gap, precomputed once per bind
-        # instead of once per issued instruction (SimVec hot path): the
-        # issue-port service size and the per-issue instruction-counter
-        # increment.  Must be recomputed wherever compute_gap changes.
-        self._issue_size = 1.0 + compute_gap
-        self._instr_inc = 1 + int(compute_gap)
         self.mlp = mlp
         self.outstanding = 0
         self.issue_pending = False
@@ -60,8 +53,6 @@ class Wavefront:
         self.pc = 0
         if compute_gap is not None:
             self.compute_gap = compute_gap
-            self._issue_size = 1.0 + compute_gap
-            self._instr_inc = 1 + int(compute_gap)
         if stream is None:
             self._length = 0
             self._lines = self._kinds = ()

@@ -28,8 +28,8 @@ follow-on event lands strictly later or at equal time with equal-or-higher
 priority.  The shadow-shuffle drain (SimRace's dynamic confirmer) exists
 precisely to catch simulations that depend on same-cycle accidents.
 
-Hot-path architecture (SimTurbo / SimVec)
------------------------------------------
+Hot-path architecture (SimTurbo)
+--------------------------------
 The engine serves two masters: multi-hundred-thousand-event production
 runs that should spend every cycle in model callbacks, and instrumented
 diagnostic runs (sanitizer / watchdog / shadow-shuffle / profiler) that
@@ -43,18 +43,14 @@ time**, never per event:
   (``attach_sanitizer(None)``) restores the fast one.
 * :meth:`run` and :meth:`run_until` both funnel into :meth:`_drain`, the
   single instrumentation-dispatch point.  It picks exactly one drain
-  loop (shuffle > watchdog > profiler > batched > plain) so ``run_until``
-  gets the same instrumentation as ``run`` and the event-budget check
-  lives in one place instead of five copy-pasted loops.
+  loop (shuffle > watchdog > profiler > plain) so ``run_until`` gets the
+  same instrumentation as ``run`` and the event-budget error is built in
+  one place.  Every loop calls each event's one scalar handler, so the
+  profiler times the code path production runs take.
 * Every drain loop localizes the heap, the bucket dict and the event
   counter and flushes the counter back in a ``finally`` — exceptions
   (budget, stall) never lose the count, and a bucket interrupted
   mid-drain re-queues its unprocessed remainder so no event is lost.
-* SimVec batched dispatch (:meth:`register_batch_handler`): maximal runs
-  of consecutive same-callback entries within one bucket are handed to
-  the handler's batch twin as a single call instead of one call per
-  event.  A bucket *is* the same-``(time, priority)`` batch, so run
-  detection is a flat scan — no heap peeking.
 
 The engine also implements SimRace's dynamic half: constructing it with a
 ``shuffle_seed`` enables *shadow shuffle* mode, where each bucket has its
@@ -83,13 +79,11 @@ _heappop = heapq.heappop
 # SimHeat hot-function manifest: functions in this module that run once
 # per event on production runs and are therefore held to the hot-path
 # hygiene rules (SH611-SH615).  The diagnostic loops (_drain_shuffled,
-# _drain_watched, _drain_profiled*) are deliberately absent — they trade
+# _drain_watched, _drain_profiled) are deliberately absent — they trade
 # speed for observability by design.
 SIMHEAT_HOT_FUNCTIONS = (
     "Engine.schedule",
-    "Engine.schedule_batch",
     "Engine._drain_plain",
-    "Engine._drain_batched",
 )
 
 
@@ -124,13 +118,6 @@ class Engine:
         self._watchdog = None
         # Per-handler event profiler (see repro.sim.profiler).
         self._profiler = None
-        # SimVec batched dispatch: underlying handler function (__func__
-        # of the scheduled bound method) -> batch twin taking a run view
-        # ``(bucket, start, stop)``.  When non-empty (and no
-        # instrumentation outranks it), _drain dispatches to
-        # _drain_batched, which hands maximal same-bucket same-handler
-        # runs to the twin as one call.
-        self._batch_handlers: Dict[Any, Callable[[list, int, int], None]] = {}
 
     def attach_sanitizer(self, ledger) -> None:
         """Attach a :class:`repro.analysis.sanitizer.ResourceLedger`.
@@ -223,71 +210,6 @@ class Engine:
             bucket.append(callback)
             bucket.append(payload)
 
-    def register_batch_handler(
-        self,
-        callback: Callable[[Any], None],
-        batch_callback: Callable[[list, int, int], None],
-    ) -> None:
-        """Register ``batch_callback`` as the batched twin of ``callback``.
-
-        When events for ``callback`` are adjacent within one ``(time,
-        priority)`` bucket, :meth:`_drain_batched` hands the whole run to
-        ``batch_callback(bucket, start, stop)`` as one call instead of
-        calling the scalar handler per event.  The run's payloads sit at
-        the odd slots ``bucket[start + 1 : stop : 2]`` (flat ``[cb, p,
-        cb, p, ...]`` storage); passing the bucket by reference keeps the
-        drain loop from copying payloads into a scratch list.  The twin
-        must read only its ``[start, stop)`` slice and be observationally
-        identical to calling the scalar handler on each payload in FIFO
-        order — including the relative order of every ``schedule()`` call
-        it makes (insertion order breaks same-cycle ties).  Keyed by
-        ``__func__`` so all bound methods of one function share a twin.
-        """
-        key = getattr(callback, "__func__", callback)
-        self._batch_handlers[key] = batch_callback
-
-    def clear_batch_handlers(self) -> None:
-        """Drop every registered batch twin (scalar dispatch resumes)."""
-        self._batch_handlers.clear()
-
-    def schedule_batch(
-        self,
-        time: float,
-        callback: Callable[[Any], None],
-        payloads,
-        priority: int = 0,
-    ) -> None:
-        """Schedule ``callback(p)`` for every ``p`` in ``payloads``.
-
-        Exactly equivalent to one :meth:`schedule` call per payload in
-        iteration order (consecutive bucket slots preserve FIFO), with the
-        validation and bucket lookup hoisted out of the loop — the vector
-        entry point for handlers that fan out many same-cycle events
-        (wavefront seeding).
-        """
-        if not (self.now <= time < _INF):
-            raise ValueError(
-                f"cannot schedule event at {time!r} (now={self.now}): "
-                "event times must be finite and not in the past"
-            )
-        if self._sanitizer is not None:
-            # Instrumented runs route through the (possibly hot-swapped)
-            # checked schedule so the after-drain check still fires.
-            sched = self.schedule
-            for payload in payloads:
-                sched(time, callback, payload, priority)
-            return
-        key = (time, priority)
-        bucket = self._buckets.get(key)
-        if bucket is None:
-            bucket = []  # simheat: disable=SH611
-            self._buckets[key] = bucket
-            _heappush(self._heap, key)
-        append = bucket.append
-        for payload in payloads:
-            append(callback)
-            append(payload)
-
     def schedule_in(
         self,
         delay: float,
@@ -334,9 +256,7 @@ class Engine:
 
         Exactly one loop runs: shadow shuffle wins over the watchdog
         (shuffle replays are short diagnostic runs), the watchdog over
-        the profiler, the profiler over batched dispatch (instrumented
-        runs want per-event attribution, and results are bit-identical
-        either way), and the branch-free plain loop is the default.
+        the profiler, and the branch-free plain loop is the default.
         The drain flag is maintained in a ``finally`` so every exit path
         (drain, deadline stop, budget error, stall error) agrees: an
         empty heap IS a full drain, a non-empty one is not.
@@ -347,12 +267,7 @@ class Engine:
             elif self._watchdog is not None:
                 self._drain_watched(deadline)
             elif self._profiler is not None:
-                if getattr(self._profiler, "trace_alloc", False):
-                    self._drain_profiled_alloc(deadline)
-                else:
-                    self._drain_profiled(deadline)
-            elif self._batch_handlers:
-                self._drain_batched(deadline)
+                self._drain_profiled(deadline)
             else:
                 self._drain_plain(deadline)
         finally:
@@ -393,72 +308,8 @@ class Engine:
         bucket: list = []  # simheat: disable=SH611
         i = size = 0
         try:
-            # Value (not identity) check: callers construct their own
-            # infinities, and float("inf") is not interned.  Comparing
-            # against the +inf sentinel is exact by definition.
-            if deadline == _INF:  # simlint: disable=SL103
-                while heap:
-                    key = heap[0]
-                    bucket = buckets.pop(key)
-                    pop(heap)
-                    self.now = key[0]
-                    i = 0
-                    size = len(bucket)
-                    while i < size:
-                        callback = bucket[i]
-                        payload = bucket[i + 1]
-                        i += 2
-                        callback(payload)
-                        n += 1
-                        if n > budget:
-                            raise self._budget_error()
-            else:
-                while heap and heap[0][0] <= deadline:
-                    key = heap[0]
-                    bucket = buckets.pop(key)
-                    pop(heap)
-                    self.now = key[0]
-                    i = 0
-                    size = len(bucket)
-                    while i < size:
-                        callback = bucket[i]
-                        payload = bucket[i + 1]
-                        i += 2
-                        callback(payload)
-                        n += 1
-                        if n > budget:
-                            raise self._budget_error()
-        finally:
-            self.events_processed = n
-            if i < size:
-                self._requeue_remainder(key, bucket, i)
-
-    def _drain_batched(self, deadline: float) -> None:
-        """SimVec production loop: pop a bucket, hand maximal runs of
-        consecutive same-callback entries to their registered batch twin,
-        dispatch everything else scalar.
-
-        Event order is identical to the plain loop by construction: a
-        bucket is processed front to back, and a run only ever ends at
-        the first entry with a different callback.  Batching is safe
-        because no handler in this model schedules new work at ``(now,
-        priority <= current)`` that could interleave *inside* a run —
-        every hop has positive occupancy, and same-key events a twin
-        schedules (e.g. completion re-issues) open a fresh bucket,
-        landing after the current one exactly as their insertion order
-        demands.  The event budget is checked per run (bounded overshoot
-        of one run), which keeps the check out of the twins' inner loops.
-        """
-        heap = self._heap
-        buckets = self._buckets
-        pop = _heappop
-        budget = self.max_events
-        twins = self._batch_handlers
-        n = self.events_processed
-        key = None
-        bucket: list = []  # simheat: disable=SH611
-        i = size = 0
-        try:
+            # A full drain passes deadline=inf, for which the comparison
+            # always holds: one compare per bucket, not per event.
             while heap and heap[0][0] <= deadline:
                 key = heap[0]
                 bucket = buckets.pop(key)
@@ -468,28 +319,10 @@ class Engine:
                 size = len(bucket)
                 while i < size:
                     callback = bucket[i]
-                    j = i + 2
-                    while j < size and bucket[j] == callback:
-                        j += 2
-                    # Twinned handlers take singleton runs too: their
-                    # fused per-item pipeline beats the scalar handler
-                    # even for one event, and one code shape per handler
-                    # keeps the contract simple.
-                    twin = twins.get(getattr(callback, "__func__", callback))
-                    if twin is None:
-                        while i < j:
-                            payload = bucket[i + 1]
-                            i += 2
-                            callback(payload)
-                            n += 1
-                    else:
-                        # Advance past the run *before* the twin call so
-                        # an exception inside it re-queues only the
-                        # bucket's tail, not the half-processed run.
-                        start = i
-                        i = j
-                        twin(bucket, start, j)
-                        n += (j - start) >> 1
+                    payload = bucket[i + 1]
+                    i += 2
+                    callback(payload)
+                    n += 1
                     if n > budget:
                         raise self._budget_error()
         finally:
@@ -544,60 +377,12 @@ class Engine:
 
         Same event order as the plain loop; only wall-clock bookkeeping
         is added, so results stay bit-identical to uninstrumented runs.
+        With the profiler's ``trace_alloc`` flag set, the traced-memory
+        counter of :mod:`tracemalloc` is also sampled around each callback
+        to attribute net heap allocation to handlers (SimHeat's dynamic
+        half of the SH611/SH614 rules).  The caller
+        (``profile_simulation``) owns tracemalloc start/stop.
         """
-        heap = self._heap
-        buckets = self._buckets
-        pop = _heappop
-        prof = self._profiler
-        counts = prof.counts
-        self_time = prof.self_time
-        clock = prof.clock
-        budget = self.max_events
-        n = self.events_processed
-        key = None
-        bucket: list = []
-        i = size = 0
-        t_enter = clock()
-        try:
-            while heap and heap[0][0] <= deadline:
-                key = heap[0]
-                bucket = buckets.pop(key)
-                pop(heap)
-                self.now = key[0]
-                i = 0
-                size = len(bucket)
-                while i < size:
-                    callback = bucket[i]
-                    payload = bucket[i + 1]
-                    i += 2
-                    fn = getattr(callback, "__func__", callback)
-                    t0 = clock()
-                    callback(payload)
-                    dt = clock() - t0
-                    if fn in counts:
-                        counts[fn] += 1
-                        self_time[fn] += dt
-                    else:
-                        counts[fn] = 1
-                        self_time[fn] = dt
-                    n += 1
-                    if n > budget:
-                        raise self._budget_error()
-        finally:
-            prof.wall_time += clock() - t_enter
-            self.events_processed = n
-            if i < size:
-                self._requeue_remainder(key, bucket, i)
-
-    def _drain_profiled_alloc(self, deadline: float) -> None:
-        """Profiled drain that additionally attributes heap allocation to
-        handlers via :mod:`tracemalloc` (SimHeat's dynamic half of the
-        SH611/SH614 rules).  The caller (``profile_simulation``) owns
-        tracemalloc start/stop; this loop only samples the traced-memory
-        counter around each callback.  Same event order as the plain loop.
-        """
-        import tracemalloc
-
         heap = self._heap
         buckets = self._buckets
         pop = _heappop
@@ -606,7 +391,11 @@ class Engine:
         self_time = prof.self_time
         alloc_bytes = prof.alloc_bytes
         clock = prof.clock
-        traced = tracemalloc.get_traced_memory
+        traced = None
+        if getattr(prof, "trace_alloc", False):
+            import tracemalloc
+
+            traced = tracemalloc.get_traced_memory
         budget = self.max_events
         n = self.events_processed
         key = None
@@ -626,19 +415,22 @@ class Engine:
                     payload = bucket[i + 1]
                     i += 2
                     fn = getattr(callback, "__func__", callback)
-                    a0 = traced()[0]
-                    t0 = clock()
-                    callback(payload)
-                    dt = clock() - t0
-                    da = traced()[0] - a0
+                    if traced is None:
+                        t0 = clock()
+                        callback(payload)
+                        dt = clock() - t0
+                    else:
+                        a0 = traced()[0]
+                        t0 = clock()
+                        callback(payload)
+                        dt = clock() - t0
+                        alloc_bytes[fn] = alloc_bytes.get(fn, 0) + traced()[0] - a0
                     if fn in counts:
                         counts[fn] += 1
                         self_time[fn] += dt
-                        alloc_bytes[fn] += da
                     else:
                         counts[fn] = 1
                         self_time[fn] = dt
-                        alloc_bytes[fn] = da
                     n += 1
                     if n > budget:
                         raise self._budget_error()

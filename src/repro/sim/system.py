@@ -36,9 +36,9 @@ and instrumentation is an ``is not None`` check inside it.
 * ``self._fast`` is True iff no sanitizer ledger is attached (the stall
   watchdog implies the ledger) and :meth:`GPUSystem.force_slow_path` was
   not called.  Fast runs recycle ``MemoryRequest`` objects through a free
-  list, skip owner attribution on bank reservations and, on the
-  single-cluster shape, register the fused batch twins
-  (``_make_spec_twins``).
+  list and skip owner attribution on bank reservations.
+* Every design dispatches each event to its one scalar handler, so
+  ``repro profile`` times the code that production runs take.
 * Result counters are batched into plain integer attributes and flushed
   once, in ``_collect`` — nothing reads them mid-run (the live audit
   inspects structural state only).
@@ -53,7 +53,6 @@ from __future__ import annotations
 import gc
 import math
 from collections import deque
-from heapq import heappush as _heappush
 from time import perf_counter
 from typing import List, Optional, Union
 
@@ -85,19 +84,6 @@ _LOAD = int(AccessKind.LOAD)
 _STORE = int(AccessKind.STORE)
 _ATOMIC = int(AccessKind.ATOMIC)
 _BYPASS = int(AccessKind.BYPASS)
-
-# SimHeat twin-path manifest: the SimVec fused batch twins for the
-# single-cluster shape.  The factory resolves every per-design decision at
-# wiring time and its closures inline the reservation/traversal/probe/push
-# blocks (each mirroring its canonical scalar code statement for
-# statement).  Equivalence is checked by the differential confirmer
-# (force_scalar_dispatch) and the fingerprint-identity tests; the static
-# pass enforces SH603/SH604 (the factory must be wired in, and must never
-# call a scalar handler from a fused closure).
-FAST_PATH_PAIRS = [
-    ("GPUSystem._make_spec_twins",
-     ("GPUSystem._wf_issue", "GPUSystem._l1_access", "GPUSystem._complete")),
-]
 
 # SimHeat SH614 allowlist: self-rooted containers a pooled MemoryRequest
 # may legitimately enter — the free list itself, and the Q1 credit queue
@@ -189,10 +175,6 @@ class GPUSystem:
         # ledger attached.  Deliberately *not* a SimConfig field — it
         # must never perturb sim_cache_key or the fingerprint contract.
         self._force_slow = False
-        # SimVec confirmer knob (see force_scalar_dispatch): when set,
-        # the fast wiring skips batch-handler registration so every event
-        # runs its scalar handler.  Same non-config rationale as above.
-        self._force_scalar = False
 
         # Resolve the fast/slow hot-path split — must run last: it
         # captures the post-attach engine.schedule and keys everything
@@ -201,8 +183,8 @@ class GPUSystem:
 
     def _wire_hot_path(self) -> None:
         """Bind the per-event hot path once (see the module docstring):
-        the per-hop callables, the fast/instrumented choice and the fused
-        batch twins are decided here, not per event."""
+        the per-hop callables and the fast/instrumented choice are
+        decided here, not per event."""
         self._fast = self._ledger is None and not self._force_slow
         # Captures the sanitizer-checked wrapper when a ledger swapped it
         # in.  Named ``schedule`` (not ``_schedule``) on purpose: the
@@ -223,13 +205,6 @@ class GPUSystem:
         self._rt_from_l2 = topo.from_l2
         self._l1_reserve = [b.reserve for b in self.l1_banks]
         self._l2_reserve = [b.reserve for b in self.l2_banks]
-        # SimVec batched dispatch (see docs/performance.md): registered
-        # only on uninstrumented runs — instrumented drains outrank it in
-        # the engine anyway, and the scalar handlers are the ground truth the
-        # batch twins are checked against (force_scalar_dispatch).
-        self._vec = self._fast and not self._force_scalar
-        eng = self.engine
-        eng.clear_batch_handlers()
         # MemoryRequest free list — only recycled on uninstrumented runs
         # (the ledger keys live holds and hop traces by id(request)).
         self._req_pool: List[MemoryRequest] = []
@@ -244,43 +219,18 @@ class GPUSystem:
         self._n_bypassed_fills = 0
         self._rtt_sum = 0.0
         self._rtt_count = 0
-        # Fused batch twins (see _make_spec_twins) exist only for the
-        # single-cluster fast shape; every other shape drains scalar.  Must
-        # resolve last: the closures capture the pool and counters rebuilt
-        # above.
-        if self._vec:
-            self._issue_ports = [c.issue_port for c in self.cores]
-            spec = self._make_spec_twins()
-            if spec is not None:
-                eng.register_batch_handler(self._wf_issue, spec[0])
-                eng.register_batch_handler(self._l1_access, spec[1])
-                eng.register_batch_handler(self._complete, spec[2])
 
     def force_slow_path(self) -> None:
         """Re-wire the system onto the instrumented wiring without a
-        ledger (SimHeat's differential confirmer): no request pool, no
-        fused batch twins, and owner attribution on every bank
-        reservation.  Safe before the first event: all batched counters
-        are still zero, and the instrumented handlers run correctly with
-        no ledger attached (``_note`` no-ops, the issue path skips the
-        acquire).  The resulting run must be bit-identical to the fast
-        wiring."""
+        ledger (SimHeat's differential confirmer): no request pool, and
+        owner attribution on every bank reservation.  Safe before the
+        first event: all batched counters are still zero, and the
+        instrumented handlers run correctly with no ledger attached
+        (``_note`` no-ops, the issue path skips the acquire).  The
+        resulting run must be bit-identical to the fast wiring."""
         if self._ran:
             raise RuntimeError("force_slow_path() must be called before run()")
         self._force_slow = True
-        self._wire_hot_path()
-
-    def force_scalar_dispatch(self) -> None:
-        """Re-wire with SimVec batched dispatch disabled: the fast wiring
-        stays, but every event runs its scalar handler individually
-        (the SimVec differential confirmer).  The resulting run must be
-        bit-identical to batched dispatch — that identity *is* the batch
-        twins' contract, enforced by tests/test_simturbo.py.  Like
-        :meth:`force_slow_path`, deliberately not a SimConfig field: it
-        must never perturb sim_cache_key or the fingerprint contract."""
-        if self._ran:
-            raise RuntimeError("force_scalar_dispatch() must be called before run()")
-        self._force_scalar = True
         self._wire_hot_path()
 
     def _attach_watchdog(self) -> None:
@@ -437,17 +387,13 @@ class GPUSystem:
         if self._ran:
             raise RuntimeError("GPUSystem instances are single-use; build a new one")
         self._ran = True
-        seeds = []
         for core in self.cores:
             for wf in core.slots:
                 stream = core.next_stream(self.workload.streams)
                 if stream is not None:
                     wf.bind(stream)
                     core.active_wavefronts += 1
-                    seeds.append(wf)
-        # Vector seeding: identical to one schedule() per wavefront in
-        # the same order (consecutive seqs), minus the per-call overhead.
-        self.engine.schedule_batch(0.0, self._wf_issue, seeds)
+                    self.schedule(0.0, self._wf_issue, wf)
         # Wall-clock observability only — never part of the result's
         # fingerprint (see repro.sim.results._OBSERVABILITY_FIELDS).
         # GC pause for the drain: the steady-state event loop recycles
@@ -569,338 +515,6 @@ class GPUSystem:
         else:
             core.active_wavefronts -= 1
             core.finish_time = self.engine.now
-
-    # ------------------------------------------------------- SimVec batch twins
-
-    def _make_spec_twins(self):
-        """Build fused batch twins for the single-cluster decoupled fast
-        shape (the paper's ShY family at Z = 1, credits/filters off, LRU,
-        no directory — what the headline Sh40 runs are), or ``None`` when
-        any feature the fusion elides is active.
-
-        The closures fuse the whole per-item pipeline — stream advance,
-        issue-port reservation, NoC#1 hop, cache probe, reply hop and the
-        event push — into one loop with every per-design decision
-        resolved here, at wiring time.  Each inlined block mirrors its
-        canonical twin statement for statement:
-
-        * port reservations — ``Server.reserve`` without the owner and
-          ledger checks (the fused shape attaches neither);
-        * crossbar hops — ``Crossbar.traverse`` without the ledger check
-          (request flits are always 1, so the ``service * flits``
-          multiply is elided there; bit-exact under IEEE-754);
-        * home lookup — the ``interleave`` branch of
-          ``HomeMapper.home_of`` with the Z = 1 cluster term dropped
-          (``core_id // n * m == 0``);
-        * cache probe — ``SetAssociativeCache.access_load`` with the
-          LRU set's ``OrderedDict`` addressed directly;
-        * event pushes — ``Engine.schedule``'s bucket append.  The
-          validation branch is vacuous here: every push time sits at the
-          far end of a strictly-positive occupancy chain starting at
-          ``now``, so it is finite and never in the past.
-
-        Equivalence with the scalar twins is enforced by the SimVec
-        differential confirmer (``force_scalar_dispatch``) and the
-        fingerprint-identity tests; issue runs containing a non-LOAD
-        access fall back to scalar ``_wf_issue`` per item before touching
-        state.
-        """
-        if not (self._vec and self.decoupled):
-            return None
-        if self._node_credits is not None or self.l1_filters is not None:
-            return None
-        geo = self.geometry
-        topo = self.topo
-        if len(topo.noc1_req) != 1 or geo.cores_per_cluster != topo.num_cores:
-            return None
-        if self.home.strategy != "interleave":
-            return None
-        c0 = self.l1_caches[0]
-        for c in self.l1_caches:
-            if (
-                c.perfect
-                or c.policy_name != "lru"
-                or c.index_divisor != c0.index_divisor
-                or c._set_mask != c0._set_mask
-            ):
-                return None
-
-        sysm = self
-        eng = self.engine
-        heap = eng._heap
-        buckets = eng._buckets
-        hpush = _heappush
-        m = geo.dcl1_per_cluster
-        line_bits = self._line_bits
-        num_l2 = self._num_l2_slices
-        spc = self._slices_per_chan
-        req_bytes = self._request_bytes
-        load = _LOAD
-        ports = self._issue_ports
-        cores_list = self.cores
-        pool = self._req_pool
-        issue_cb = self._wf_issue
-        l1_cb = self._l1_access
-        complete_cb = self._complete
-        at_l2_cb = self._at_l2
-        req_xb = topo.noc1_req[0]
-        qin = req_xb._in
-        qout = req_xb._out
-        rep_xb = topo.noc1_rep[0]
-        rin = rep_xb._in
-        rout = rep_xb._out
-        reply_flits = self._noc1_reply_flits
-        caches = self.l1_caches
-        banks = self.l1_banks
-        div = c0.index_divisor
-        strip = div > 1
-        smask = c0._set_mask
-        rt_to_l2 = self._rt_to_l2
-        req_flits = self._req_flits
-        line_flits = self._line_flits
-
-        refill = self._wf_refill
-
-        def issue_run(bucket, lo, hi):
-            # Runs with a shape the fusion elides (non-LOAD) fall back to
-            # scalar dispatch before any cursor moves, keeping the
-            # interleaving exactly scalar.  Exhausted wavefronts are
-            # handled inline below — falling back on those would push
-            # every end-of-stream run (and its co-scheduled live issues)
-            # onto the scalar path.
-            for s in range(lo + 1, hi, 2):
-                wf = bucket[s]
-                if not wf.done and wf._kinds[wf.pc] != load:
-                    for w in range(lo + 1, hi, 2):
-                        issue_cb(bucket[w])
-                    return
-            now = eng.now
-            outst = 0
-            for s in range(lo + 1, hi, 2):
-                wf = bucket[s]
-                wf.issue_pending = False
-                if wf.done:
-                    # _wf_issue's exhausted-stream branch: refill once
-                    # the last reply lands (CTA replacement re-enters
-                    # the scalar issue path, which is the canonical
-                    # behaviour — refills are rare).
-                    if wf.outstanding == 0:
-                        refill(wf)
-                    continue
-                pc = wf.pc
-                line = wf._lines[pc]
-                pc += 1
-                wf.pc = pc
-                if pc >= wf._length:
-                    wf.done = True
-                c = wf.core_id
-                # Issue-port reservation (Server.reserve).
-                srv = ports[c]
-                nf = srv.next_free
-                start = now if now > nf else nf
-                occ = srv.service * wf._issue_size
-                srv.next_free = start + occ
-                srv.busy_cycles += occ
-                srv.num_served += 1
-                t = start + occ + srv.latency
-                # CoreState.count_access (_instr_inc is 1 + int(gap)).
-                core = cores_list[c]
-                core.mem_instructions += 1
-                core.instructions += wf._instr_inc
-                if pool:
-                    req = pool.pop()
-                    req.l1_hit = False
-                    req.l2_hit = False
-                    req.merged = False
-                else:
-                    req = MemoryRequest(0, load, req_bytes, 0)
-                l2 = line % num_l2
-                home = line % m
-                req.addr = line << line_bits
-                req.kind = load
-                req.core_id = c
-                req.wavefront = wf
-                req.issue_time = t
-                req.line = line
-                req.l2_id = l2
-                req.mc_id = l2 // spc
-                req.dcl1_id = home
-                outst += 1
-                wf.outstanding += 1
-                # (_schedule_issue's issue_pending guard is vacuous here:
-                # it was cleared at the top of this item and nothing set
-                # it since.)
-                if wf.outstanding < wf.mlp:
-                    wf.issue_pending = True
-                    key = (t, 0)
-                    b = buckets.get(key)
-                    if b is None:
-                        buckets[key] = [issue_cb, wf]
-                        hpush(heap, key)
-                    else:
-                        b.append(issue_cb)
-                        b.append(wf)
-                # NoC#1 request hop, one flit (Crossbar.traverse).
-                p = qin[c]
-                nf = p.next_free
-                sx = t if t > nf else nf
-                occ = p.service
-                p.next_free = sx + occ
-                p.busy_cycles += occ
-                p.num_served += 1
-                t1 = sx + occ + p.latency
-                p = qout[home]
-                nf = p.next_free
-                sx = t1 if t1 > nf else nf
-                occ = p.service
-                p.next_free = sx + occ
-                p.busy_cycles += occ
-                p.num_served += 1
-                arr = sx + occ + p.latency
-                key = (arr, 0)
-                b = buckets.get(key)
-                if b is None:
-                    buckets[key] = [l1_cb, req]
-                    hpush(heap, key)
-                else:
-                    b.append(l1_cb)
-                    b.append(req)
-            req_xb.flit_hops += outst
-            sysm.outstanding += outst
-            sysm._n_loads += outst
-
-        def l1_run(bucket, lo, hi):
-            now = eng.now
-            nhits = 0
-            for s in range(lo + 1, hi, 2):
-                req = bucket[s]
-                idx = req.dcl1_id
-                # DC-L1 bank reservation (Server.reserve).
-                srv = banks[idx]
-                nf = srv.next_free
-                start = now if now > nf else nf
-                occ = srv.service
-                srv.next_free = start + occ
-                srv.busy_cycles += occ
-                srv.num_served += 1
-                t = start + occ + srv.latency
-                cache = caches[idx]
-                if req.kind == load:
-                    line = req.line
-                    # SetAssociativeCache.access_load over the LRU set.
-                    od = cache._sets[
-                        ((line // div) & smask) if strip else (line & smask)
-                    ]._order
-                    if line in od:
-                        od.move_to_end(line)
-                        cache.stats.load_hits += 1
-                        req.l1_hit = True
-                        # NoC#1 reply hop (Crossbar.traverse).
-                        p = rin[idx]
-                        nf = p.next_free
-                        sx = t if t > nf else nf
-                        occ = p.service * reply_flits
-                        p.next_free = sx + occ
-                        p.busy_cycles += occ
-                        p.num_served += 1
-                        t1 = sx + occ + p.latency
-                        p = rout[req.core_id]
-                        nf = p.next_free
-                        sx = t1 if t1 > nf else nf
-                        occ = p.service * reply_flits
-                        p.next_free = sx + occ
-                        p.busy_cycles += occ
-                        p.num_served += 1
-                        t2 = sx + occ + p.latency
-                        nhits += 1
-                        key = (t2, 0)
-                        b = buckets.get(key)
-                        if b is None:
-                            buckets[key] = [complete_cb, req]
-                            hpush(heap, key)
-                        else:
-                            b.append(complete_cb)
-                            b.append(req)
-                    else:
-                        # access_load's miss branch, directory included
-                        # (replication-ratio metric; shared DC-L1 levels
-                        # always carry one).
-                        stats = cache.stats
-                        stats.load_misses += 1
-                        d = cache.directory
-                        if d is not None and d.held_elsewhere(line, cache.cache_id):
-                            stats.replicated_misses += 1
-                        sysm._l1_miss(req, t, idx)
-                else:
-                    # STORE: write-evict + no-write-allocate, always to
-                    # L2 — same statements as the scalar twin's branch.
-                    hit = cache.access_store(req.line)
-                    req.l1_hit = hit
-                    flits = req_flits + (line_flits if hit else 0)
-                    t2 = rt_to_l2(t, idx, req.l2_id, flits)
-                    key = (t2, 0)
-                    b = buckets.get(key)
-                    if b is None:
-                        buckets[key] = [at_l2_cb, req]
-                        hpush(heap, key)
-                    else:
-                        b.append(at_l2_cb)
-                        b.append(req)
-            rep_xb.flit_hops += nhits * reply_flits
-
-        store = _STORE
-
-        def complete_run(bucket, lo, hi):
-            # Fused _complete: the fast-path statements per item, with the
-            # re-issue pushes inlined (Engine.schedule's bucket append —
-            # all of a run's re-issues land at the one key ``(now, 0)``,
-            # so the target bucket is resolved once, on first use).  The
-            # push sequence is the item order; interleaving the pushes
-            # with the free-list appends is unobservable because the
-            # pool's append order itself never changes.
-            now = eng.now
-            rtt_sum = 0.0
-            rtt_count = 0
-            key = (now, 0)
-            b = None
-            for s in range(lo + 1, hi, 2):
-                req = bucket[s]
-                kind = req.kind
-                if kind == load:
-                    rtt_sum += now - req.issue_time
-                    rtt_count += 1
-                    wf = req.wavefront
-                    wf.outstanding -= 1
-                    if not wf.issue_pending:
-                        wf.issue_pending = True
-                        if b is None:
-                            b = buckets.get(key)
-                            if b is None:
-                                b = []
-                                buckets[key] = b
-                                hpush(heap, key)
-                        b.append(issue_cb)
-                        b.append(wf)
-                elif kind != store:
-                    wf = req.wavefront
-                    wf.outstanding -= 1
-                    if not wf.issue_pending:
-                        wf.issue_pending = True
-                        if b is None:
-                            b = buckets.get(key)
-                            if b is None:
-                                b = []
-                                buckets[key] = b
-                                hpush(heap, key)
-                        b.append(issue_cb)
-                        b.append(wf)
-                req.wavefront = None
-                pool.append(req)
-            sysm.outstanding -= (hi - lo) >> 1
-            sysm._rtt_sum += rtt_sum
-            sysm._rtt_count += rtt_count
-
-        return issue_run, l1_run, complete_run
 
     # ---------------------------------------------------------- node admission
 

@@ -1,5 +1,6 @@
 """Property-based end-to-end tests: random small workloads through random
-designs must conserve requests and satisfy every audit invariant."""
+designs must conserve requests, satisfy every audit invariant, and give
+one fingerprint on the fast and the forced-slow wiring."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -71,3 +72,17 @@ class TestSystemProperties:
         assert a.cycles == b.cycles
         assert a.l1.misses == b.l1.misses
         assert a.total_flit_hops == b.total_flit_hops
+
+    @given(profiles, designs)
+    @settings(max_examples=20, deadline=None)
+    def test_fast_fingerprint_equals_slow(self, profile, spec):
+        """The pooled fast wiring is bit-invisible: stores, atomics and
+        bypasses (non-LOAD requests through the pool), MLP > 1, tiny
+        streams (CTA refills) and imbalance (ragged same-cycle buckets)
+        all give the forced-slow fingerprint."""
+        cfg = SimConfig(gpu=TINY_GPU)
+        fast = GPUSystem(profile, spec, cfg).run()
+        slow_sys = GPUSystem(profile, spec, cfg)
+        slow_sys.force_slow_path()
+        slow = slow_sys.run()
+        assert fast.fingerprint() == slow.fingerprint()

@@ -1,5 +1,5 @@
-"""SimHeat: twin-path wiring & hot-path hygiene analysis (SH600–SH615)
-and its force-fast/force-slow differential replay confirmer."""
+"""SimHeat: hot-path hygiene analysis (SH600, SH611–SH615) and its
+force-fast/force-slow differential replay confirmer."""
 
 import json
 import shutil
@@ -30,30 +30,6 @@ def _rules(findings):
     return [f.rule_id for f in findings]
 
 
-# A clean twin manifest: a factory of fused closures naming the scalar
-# handler it mirrors, and a wiring method that references the factory.
-TWINS = """
-FAST_PATH_PAIRS = [
-    ("System._make_twins", ("System._issue",)),
-]
-
-
-class System:
-    def wire(self):
-        self._issue_run = self._make_twins()
-
-    def _issue(self, wf):
-        return wf.line + self.offset
-
-    def _make_twins(self):
-        offset = self.offset
-
-        def issue_run(wf):
-            return wf.line + offset
-        return issue_run
-"""
-
-
 # ------------------------------------------------------------ rule table
 
 
@@ -61,7 +37,8 @@ def test_rule_table_lists_every_rule():
     table = heat_rule_table()
     ids = [rid for rid, _, _ in table]
     assert ids == sorted(ids)
-    assert "SH600" in ids and "SH601" in ids and "SH615" in ids
+    assert "SH600" in ids and "SH611" in ids and "SH615" in ids
+    assert not {"SH601", "SH603", "SH604"} & set(ids)  # retired
     assert all(sev in ("error", "warning") for _, sev, _ in table)
 
 
@@ -72,109 +49,6 @@ def test_unparsable_source_is_sh600():
     findings = _analyze("def broken(:\n")
     assert _rules(findings) == ["SH600"]
     assert findings[0].severity is Severity.ERROR
-
-
-# ------------------------------------------------ SH601 (manifest drift)
-
-
-def test_clean_twin_manifest_passes():
-    assert _analyze(TWINS) == []
-
-
-def test_manifest_naming_a_missing_fast_def_is_sh601():
-    findings = _analyze(
-        """
-        FAST_PATH_PAIRS = [
-            ("System._make_twins", ("System._issue",)),
-        ]
-
-        class System:
-            def _issue(self, wf):
-                return wf.line
-        """
-    )
-    assert "SH601" in _rules(findings)
-
-
-# --------------------------------------------- SH603 (unreachable fast)
-
-
-def test_unwired_fast_twin_is_sh603():
-    unwired = TWINS.replace(
-        "    def wire(self):\n        self._issue_run = self._make_twins()\n\n",
-        "",
-    )
-    findings = _analyze(unwired)
-    assert _rules(findings) == ["SH603"]
-    assert "never referenced" in findings[0].message
-
-
-def test_contradictory_fast_gate_is_sh603():
-    findings = _analyze(
-        """
-        class System:
-            def _wire(self):
-                self._fast = self._ledger is None
-
-            def _complete(self, req):
-                if self._fast and self._ledger is not None:
-                    self._ledger.note_release(req)
-        """
-    )
-    assert "SH603" in _rules(findings)
-
-
-# ------------------------------------------ SH604 (slow call on fast path)
-
-
-def test_slow_twin_call_inside_fast_twin_body_is_sh604():
-    findings = _analyze(
-        """
-        FAST_PATH_PAIRS = [
-            ("Topo.make_routes", ("Topo.core_to_dcl1",)),
-        ]
-
-
-        class Topo:
-            def wire(self):
-                self._routes = self.make_routes()
-
-            def core_to_dcl1(self, t, core, dcl1, flits):
-                return t + self.hop_latency
-
-            def make_routes(self):
-                def go(t, core, dcl1, flits):
-                    return self.core_to_dcl1(t, core, dcl1, flits)
-                return (go,)
-        """
-    )
-    assert "SH604" in _rules(findings)
-
-
-def test_delegating_closure_that_reimplements_is_clean():
-    findings = _analyze(
-        """
-        FAST_PATH_PAIRS = [
-            ("Topo.make_routes", ("Topo.core_to_dcl1",)),
-        ]
-
-
-        class Topo:
-            def wire(self):
-                self._routes = self.make_routes()
-
-            def core_to_dcl1(self, t, core, dcl1, flits):
-                return t + self.hop_latency
-
-            def make_routes(self):
-                lat = self.hop_latency
-
-                def go(t, core, dcl1, flits):
-                    return t + lat
-                return (go,)
-        """
-    )
-    assert findings == []
 
 
 # --------------------------------------- SH611-SH615 (hot-path hygiene)
@@ -389,37 +263,32 @@ def test_confirm_heat_alloc_profile_attributes_handlers():
 def test_default_confirm_grid_has_a_decoupled_point():
     designs = [d.lower() for _, d in DEFAULT_CONFIRM_GRID]
     assert any(d.startswith("sh") or d.startswith("pr") for d in designs)
-    report = HeatReport(DEFAULT_CONFIRM_GRID, 0.1, [])
-    assert report.any_decoupled
 
 
 def test_report_grades_findings_by_probe_evidence():
     from repro.analysis.simheat import HeatFinding
-
-    drift = HeatFinding("x.py", 1, 0, "SH601", Severity.ERROR, "drift",
-                        pair="Topo.make_routes->Topo.core_to_dcl1")
-    report_bad = HeatReport(
-        [("P-2MM", "Sh40")], 0.1,
-        [HeatProbe("twin-diff", "P-2MM/Sh40", False, "diverged")])
-    assert report_bad.verdict_for(drift) == "CONFIRMED"
-    assert not report_bad.ok
-    assert "UNSOUND" in report_bad.render([drift])
-
-    report_ok = HeatReport(
-        [("P-2MM", "Sh40")], 0.1,
-        [HeatProbe("twin-diff", "P-2MM/Sh40", True)])
-    assert report_ok.verdict_for(drift) == "BENIGN"
-
-    fused = HeatFinding("x.py", 1, 0, "SH601", Severity.ERROR, "drift",
-                        pair="GPUSystem._make_spec_twins->GPUSystem._wf_issue")
-    undecoupled = HeatReport(
-        [("C-BLK", "Baseline")], 0.1,
-        [HeatProbe("twin-diff", "C-BLK/Baseline", True)])
-    assert undecoupled.verdict_for(fused) == "UNOBSERVED"
+    from repro.sim.profiler import ProfileRow
 
     hot = HeatFinding("x.py", 1, 0, "SH611", Severity.WARNING, "alloc",
                       handler="System._complete")
-    assert report_ok.verdict_for(hot) == "UNOBSERVED"  # no alloc rows
+    report_bad = HeatReport(
+        [("P-2MM", "Sh40")], 0.1,
+        [HeatProbe("twin-diff", "P-2MM/Sh40", False, "diverged")])
+    assert not report_bad.ok
+    assert "UNSOUND" in report_bad.render([hot])
+    assert report_bad.verdict_for(hot) == "UNOBSERVED"  # no alloc rows
+
+    def row(handler, alloc):
+        return ProfileRow(handler, 10, 0.1, 50.0, 1.0, alloc_b_per_event=alloc)
+
+    probes = [HeatProbe("twin-diff", "P-2MM/Sh40", True)]
+    rows = [row("System._issue", 40.0), row("System._l1", 48.0)]
+    hungry = HeatReport([("P-2MM", "Sh40")], 0.1, probes,
+                        rows + [row("System._complete", 4096.0)])
+    assert hungry.verdict_for(hot) == "CONFIRMED"
+    frugal = HeatReport([("P-2MM", "Sh40")], 0.1, probes,
+                        rows + [row("System._complete", 32.0)])
+    assert frugal.verdict_for(hot) == "BENIGN"
 
 
 # ----------------------------------------------------------------- CLI
@@ -436,7 +305,7 @@ def test_cli_heat_list_rules(capsys):
 
     assert main(["heat", "--list-rules"]) == 0
     out = capsys.readouterr().out
-    assert "SH601" in out and "SH614" in out
+    assert "SH611" in out and "SH614" in out
 
 
 def test_cli_heat_unknown_rule_is_usage_error(capsys):

@@ -10,10 +10,9 @@ Three layers of protection:
 2. **Cross-instrumentation identity** — one real Figure-8 grid point run
    plain / sanitized / watchdog / shadow-shuffled / profiled must yield
    one fingerprint: instrumentation observes, it never steers.
-3. **Wiring parity** — fast (pooled, fused) wiring, forced-slow wiring
-   and sanitized runs of one config share one fingerprint, for every
-   access kind the issue path dispatches on, and batched dispatch
-   matches scalar dispatch.
+3. **Wiring parity** — fast (pooled) wiring, forced-slow wiring and
+   sanitized runs of one config share one fingerprint, for every access
+   kind the issue path dispatches on and across the design shapes.
 """
 
 import hashlib
@@ -45,6 +44,10 @@ GOLDEN = {
     # force_slow_path() verified fast == slow bit-exactly.
     ("C-SP", "Sh40+C10", 0.1):
         "1ecc857dbe6d98ba36ad8122f1dce347a78e24c2679ddfc7938688327321a512",
+    # The headline point at the calibrated scale (captured on the same
+    # pre-SimTurbo tree).
+    ("T-AlexNet", "Sh40", 1.0):
+        "ca1e6b42fd1c84d054d5058959da554e794eabc35c13b1c8ff431c71e19f6f9d",
 }
 
 DESIGNS = {
@@ -122,20 +125,20 @@ def test_observability_fields_are_populated_but_not_identity():
 # ------------------------------------------------- forced slow-path parity
 #
 # GPUSystem.force_slow_path() is SimHeat's differential-confirmer knob:
-# it runs without the request pool and the fused twins, and with owner
-# attribution on every bank reservation, without touching SimConfig (so
-# the cache key and fingerprint inputs are untouched).  A sanitized run goes through the same hop code with the
-# ledger checks live.  Fast, forced-slow and sanitized runs must be
+# it runs without the request pool and with owner attribution on every
+# bank reservation, without touching SimConfig (so the cache key and
+# fingerprint inputs are untouched).  A sanitized run goes through the
+# same hop code with the ledger checks live.  Fast, forced-slow and sanitized runs must be
 # bit-identical for every access kind the issue path dispatches on.
 
 
-def _twin_hashes(app, spec, scale=0.05):
-    cfg = SimConfig(scale=scale)
+def _twin_hashes(app, spec, scale=0.05, **cfg_kw):
+    cfg = SimConfig(scale=scale, **cfg_kw)
     fast = GPUSystem(app, spec, cfg).run()
     slow_sys = GPUSystem(app, spec, cfg)
     slow_sys.force_slow_path()
     slow = slow_sys.run()
-    sanitized = GPUSystem(app, spec, SimConfig(scale=scale, sanitize=True)).run()
+    sanitized = GPUSystem(app, spec, SimConfig(scale=scale, sanitize=True, **cfg_kw)).run()
     return fingerprint_hash(fast), fingerprint_hash(slow), fingerprint_hash(sanitized)
 
 
@@ -192,83 +195,36 @@ def test_wavefront_materializes_streams_to_plain_ints():
     assert wf.next_access() is None
 
 
-# ------------------------------------------------ SimVec batched dispatch
+# ------------------------------------------- fast == forced-slow by shape
 #
-# GPUSystem.force_scalar_dispatch() is the SimVec differential confirmer:
-# same fast wiring, but every event runs its scalar handler one call at
-# a time instead of per-run through the batch twins.  Batched, scalar and
-# forced-slow runs of one config must produce one fingerprint — that
-# identity is the fused batch twins' whole contract.  Sh40/T-AlexNet
-# engages the fused single-cluster twins; C-BFS/Sh40 engages them on a
-# store-bearing stream, whose non-LOAD issue runs fall back to scalar
-# dispatch; the other points are shapes where the fusion declines and
-# every event dispatches scalar.
-
-
-def _three_way_hashes(app, spec, scale=0.1, **cfg_kw):
-    cfg = SimConfig(scale=scale, **cfg_kw)
-    batched = GPUSystem(app, spec, cfg).run()
-    scalar_sys = GPUSystem(app, spec, cfg)
-    scalar_sys.force_scalar_dispatch()
-    scalar = scalar_sys.run()
-    slow_sys = GPUSystem(app, spec, cfg)
-    slow_sys.force_slow_path()
-    slow = slow_sys.run()
-    return (
-        fingerprint_hash(batched), fingerprint_hash(scalar),
-        fingerprint_hash(slow),
-    )
+# Every design dispatches each event to its one scalar handler, so the
+# fast and forced-slow wirings differ only in request pooling and owner
+# attribution.  Fast, forced-slow and sanitized runs must produce one
+# fingerprint on each design shape the lifecycle branches on.
 
 
 @pytest.mark.parametrize(
     "app_name, design",
     [
-        ("T-AlexNet", "Sh40"),       # fused twins engage
-        ("C-BFS", "Sh40"),           # fused, with non-LOAD issue fallback
+        ("T-AlexNet", "Sh40"),       # single-cluster DC-L1
+        ("C-BFS", "Sh40"),           # single-cluster, store-bearing stream
         ("T-AlexNet", "Baseline"),   # coupled: no DC-L1 level
         ("T-ResNet", "Pr40"),        # private homes
-        ("C-SP", "Sh40+C10"),        # clustered: scalar dispatch
+        ("C-SP", "Sh40+C10"),        # clustered, store-heavy
         ("T-AlexNet", "Sh40+C10"),   # clustered, load-dominated
     ],
 )
-def test_batched_dispatch_matches_scalar_and_slow(app_name, design):
-    b, s, sl = _three_way_hashes(get_app(app_name), DESIGNS[design])
-    assert b == s, f"batched != scalar on {app_name}/{design}"
-    assert b == sl, f"batched != slow on {app_name}/{design}"
-
-
-def test_batched_dispatch_matches_scalar_with_q1_credits():
-    # Finite node queues route issue through _enter_node; the fused twins
-    # must decline and scalar dispatch must stay bit-exact.
-    b, s, sl = _three_way_hashes(
-        get_app("T-AlexNet"), DESIGNS["Sh40"], dcl1_queue_depth=4
+def test_fast_wiring_matches_forced_slow(app_name, design):
+    fast, slow, sanitized = _twin_hashes(
+        get_app(app_name), DESIGNS[design], scale=0.1
     )
-    assert b == s == sl
+    assert fast == slow == sanitized, f"{app_name}/{design}"
 
 
-def test_specialized_twins_engage_on_the_headline_config():
-    """Guard against the identity tests passing vacuously: on the
-    Sh40/T-AlexNet shape the fused specialized twins must actually be
-    registered (a silent eligibility regression would quietly hand the
-    headline benchmark back to the scalar path)."""
-    sys_ = GPUSystem(get_app("T-AlexNet"), DESIGNS["Sh40"],
-                     SimConfig(scale=0.05))
-    twins = sys_.engine._batch_handlers
-    issue_fn = sys_._wf_issue.__func__
-    assert issue_fn in twins
-    # the registered twin is the fused closure, not the generic method
-    assert twins[issue_fn].__qualname__.startswith(
-        "GPUSystem._make_spec_twins"
+def test_fast_wiring_matches_forced_slow_with_q1_credits():
+    # Finite node queues route issue through _enter_node and release Q1
+    # credits at priority -1.
+    fast, slow, sanitized = _twin_hashes(
+        get_app("T-AlexNet"), DESIGNS["Sh40"], scale=0.1, dcl1_queue_depth=4
     )
-    assert sys_._l1_access.__func__ in twins
-    assert sys_._complete.__func__ in twins
-
-
-def test_specialized_twins_decline_on_clustered_shape():
-    """Batched dispatch exists only where the fused twins apply: on the
-    clustered and coupled shapes no batch handler is registered, so the
-    engine drains every event through its plain scalar loop."""
-    for app_name, design in (("C-SP", "Sh40+C10"), ("T-AlexNet", "Baseline")):
-        sys_ = GPUSystem(get_app(app_name), DESIGNS[design],
-                         SimConfig(scale=0.05))
-        assert not sys_.engine._batch_handlers, f"{app_name}/{design}"
+    assert fast == slow == sanitized
