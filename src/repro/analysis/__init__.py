@@ -2,8 +2,8 @@
 plus the SimSanitizer runtime resource ledger
 (:mod:`repro.analysis.sanitizer`).
 
-The six static analyzers — SimLint, SimRace, SimFlow, SimPure, SimShard
-and SimHeat (:mod:`repro.analysis.simlint` ... :mod:`repro.analysis.simheat`,
+The five static analyzers — SimLint, SimRace, SimFlow, SimPure and
+SimShard (:mod:`repro.analysis.simlint` ... :mod:`repro.analysis.simshard`,
 built on :mod:`repro.analysis.framework`) — are deliberately *not*
 imported here: the simulator imports this package through the sanitizer,
 and no simulation should pay for loading the analyzers.  Import them by

@@ -1,6 +1,6 @@
-"""The shared plumbing of the six static analyzers.
+"""The shared plumbing of the five static analyzers.
 
-SimLint, SimRace, SimFlow, SimPure, SimShard and SimHeat each keep only
+SimLint, SimRace, SimFlow, SimPure and SimShard each keep only
 their rules, manifests and confirmer, and describe themselves with one
 :class:`Tool` record.  Everything they have in common lives here, once:
 
@@ -389,7 +389,6 @@ TOOL_MODULES: Tuple[str, ...] = (
     "repro.analysis.simflow",
     "repro.analysis.simpure",
     "repro.analysis.simshard",
-    "repro.analysis.simheat",
 )
 
 

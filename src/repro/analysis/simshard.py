@@ -12,8 +12,8 @@ module-level list, or a field added to :class:`SimConfig` without
 worse, silently diverge) the moment the sweep is sharded across
 processes or hosts.
 
-SimShard is the fifth leg of the analysis hexapod (SimLint → SimRace →
-SimFlow → SimPure → SimShard → SimHeat): a static AST pass over the
+SimShard is the fifth of the five analyzers (SimLint → SimRace →
+SimFlow → SimPure → SimShard): a static AST pass over the
 sweep/experiment/store layers plus a dynamic confirmer that actually
 replays a grid under serial, fork-pool and spawn-pool execution and
 requires bit-identical fingerprints.

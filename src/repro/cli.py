@@ -18,9 +18,7 @@ The subcommands cover the library's main entry points::
     repro purity --confirm --scale 0.1         # mutate-and-replay confirmation
     repro shard src/repro                      # SimShard distribution safety
     repro shard --confirm --scale 0.1          # serial/fork/spawn replay diff
-    repro heat src/repro                       # SimHeat hot-path hygiene scan
-    repro heat --confirm --scale 0.1           # force-fast vs force-slow replay
-    repro analyze src/repro                    # the full hexapod, one table
+    repro analyze src/repro                    # all five analyzers, one table
     repro analyze --json src/repro             # machine-readable CI artifact
 
 Installed as the ``repro`` console script; also runnable as
@@ -47,9 +45,10 @@ from repro.workloads.suite import APP_NAMES, get_app
 
 #: Version of the ``repro analyze --json`` report schema.  Bump when the
 #: document's shape changes so downstream consumers (the future SimServe
-#: API, CI artifact differs) can dispatch on it.  v2: the pentapod grew
-#: into a hexapod — a ``simheat`` tool section joined the report.
-ANALYZE_SCHEMA_VERSION = 2
+#: API, CI artifact differs) can dispatch on it.  v2: a SimHeat tool
+#: section joined the report.  v3: the SimHeat section left it again
+#: (five tools).
+ANALYZE_SCHEMA_VERSION = 3
 
 _NAMED_DESIGNS = {
     "baseline": DesignSpec.baseline(),
@@ -465,9 +464,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "analyze",
-        help="run the full static-analysis hexapod (lint + race + flow "
-             "+ purity + shard + heat) with a unified summary table and "
-             "combined exit code",
+        help="run all five static analyzers (lint + race + flow + purity "
+             "+ shard) with a unified summary table and combined exit code",
     )
     p.add_argument("paths", nargs="*",
                    help="files/directories to analyze (default: the repro package)")

@@ -23,11 +23,6 @@ from typing import Callable
 
 from repro.core.clusters import ClusterGeometry
 
-# SimHeat hot-path manifest: ``home_of`` runs once per issued request and
-# is a closure built by this factory; it is held to the hot-path hygiene
-# rules (SH611-SH615).
-SIMHEAT_HOT_FUNCTIONS = ("HomeMapper._make_home_of",)
-
 
 class HomeMapper:
     """Maps (core, line) to the DC-L1 node that may cache the line."""

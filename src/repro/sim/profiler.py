@@ -51,8 +51,8 @@ class EventProfiler:
     tests may inject a deterministic fake.  With ``trace_alloc=True`` the
     engine's profiled drain loop also samples tracemalloc around each
     callback and fills :attr:`alloc_bytes` with net traced bytes per
-    handler (SimHeat's pooled-lifecycle evidence); the caller must have
-    tracemalloc running.
+    handler (``repro profile --alloc``); the caller must have tracemalloc
+    running.
     """
 
     def __init__(self, clock: Optional[Callable[[], float]] = None,

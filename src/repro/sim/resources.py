@@ -21,11 +21,6 @@ halves it again.
 
 from __future__ import annotations
 
-# SimHeat hot-path manifest (see docs/analysis.md): every issue-port, bank
-# and DRAM reservation in a run goes through ``Server.reserve``, so it is
-# held to the hot-path hygiene rules (SH611-SH615) like an event handler.
-SIMHEAT_HOT_FUNCTIONS = ("Server.reserve",)
-
 
 class Server:
     """A single pipelined resource with occupancy-based contention.

@@ -33,10 +33,11 @@ and DRAM, ``Crossbar.traverse`` for NoC hops, the route closures
 and instrumentation is an ``is not None`` check inside it.
 ``_wire_hot_path`` resolves the rest once, at build time:
 
-* ``self._fast`` is True iff no sanitizer ledger is attached (the stall
-  watchdog implies the ledger) and :meth:`GPUSystem.force_slow_path` was
-  not called.  Fast runs recycle ``MemoryRequest`` objects through a free
-  list and skip owner attribution on bank reservations.
+* There is one wiring.  Every bank and DRAM reservation names its
+  owning request; instrumentation only decides whether the hop leaves an
+  owner note and whether requests are pooled: with no sanitizer ledger
+  attached (the stall watchdog implies the ledger) ``_complete``
+  recycles each finished ``MemoryRequest`` through a free list.
 * Every design dispatches each event to its one scalar handler, so
   ``repro profile`` times the code that production runs take.
 * Result counters are batched into plain integer attributes and flushed
@@ -44,7 +45,7 @@ and instrumentation is an ``is not None`` check inside it.
   inspects structural state only).
 
 Every specialization preserves arithmetic exactly; the fingerprint
-identity of fast, forced-slow and sanitized runs is enforced by
+identity of plain (pooled) and sanitized runs is enforced by
 ``tests/test_simturbo.py``.
 """
 
@@ -84,11 +85,6 @@ _LOAD = int(AccessKind.LOAD)
 _STORE = int(AccessKind.STORE)
 _ATOMIC = int(AccessKind.ATOMIC)
 _BYPASS = int(AccessKind.BYPASS)
-
-# SimHeat SH614 allowlist: self-rooted containers a pooled MemoryRequest
-# may legitimately enter — the free list itself, and the Q1 credit queue
-# whose entries are always drained back into the lifecycle.
-SIMHEAT_REQUEST_SAFE_SINKS = ("_req_pool", "_node_waiters")
 
 
 class GPUSystem:
@@ -170,22 +166,12 @@ class GPUSystem:
         if self.cfg.watchdog:
             self._attach_watchdog()
 
-        # SimHeat differential-confirmer knob (see force_slow_path): when
-        # set, _wire_hot_path keeps the instrumented wiring even with no
-        # ledger attached.  Deliberately *not* a SimConfig field — it
-        # must never perturb sim_cache_key or the fingerprint contract.
-        self._force_slow = False
-
-        # Resolve the fast/slow hot-path split — must run last: it
-        # captures the post-attach engine.schedule and keys everything
-        # on whether a ledger ended up attached.
+        # Must run last: it captures the post-attach engine.schedule.
         self._wire_hot_path()
 
     def _wire_hot_path(self) -> None:
         """Bind the per-event hot path once (see the module docstring):
-        the per-hop callables and the fast/instrumented choice are
-        decided here, not per event."""
-        self._fast = self._ledger is None and not self._force_slow
+        the per-hop callables are resolved here, not per event."""
         # Captures the sanitizer-checked wrapper when a ledger swapped it
         # in.  Named ``schedule`` (not ``_schedule``) on purpose: the
         # static analyzers (SimFlow/SimRace/SimLint) recognize scheduling
@@ -219,19 +205,6 @@ class GPUSystem:
         self._n_bypassed_fills = 0
         self._rtt_sum = 0.0
         self._rtt_count = 0
-
-    def force_slow_path(self) -> None:
-        """Re-wire the system onto the instrumented wiring without a
-        ledger (SimHeat's differential confirmer): no request pool, and
-        owner attribution on every bank reservation.  Safe before the
-        first event: all batched counters are still zero, and the
-        instrumented handlers run correctly with no ledger attached
-        (``_note`` no-ops, the issue path skips the acquire).  The
-        resulting run must be bit-identical to the fast wiring."""
-        if self._ran:
-            raise RuntimeError("force_slow_path() must be called before run()")
-        self._force_slow = True
-        self._wire_hot_path()
 
     def _attach_watchdog(self) -> None:
         if self._ledger is None:
@@ -580,11 +553,9 @@ class GPUSystem:
     def _l1_access(self, req: MemoryRequest) -> None:
         idx = req.dcl1_id if self.decoupled else req.core_id
         now = self.engine.now
-        if self._fast:
-            t = self._l1_reserve[idx](now)
-        else:
+        if self._ledger is not None:
             self._note(req, f"L1[{idx}] bank access")
-            t = self.l1_banks[idx].reserve(now, owner=req)
+        t = self._l1_reserve[idx](now, 1.0, req)
         if self._node_credits is not None:
             # The request leaves Q1 once the (pipelined) bank accepts it —
             # occupancy, not access latency, holds the queue slot.  The
@@ -669,10 +640,7 @@ class GPUSystem:
         cache = self.l1_caches[idx]
         while mshr.has_stalled() and not mshr.full:
             retry = mshr.pop_stalled()
-            if self._fast:
-                t = self._l1_reserve[idx](now)
-            else:
-                t = self.l1_banks[idx].reserve(now, owner=retry)
+            t = self._l1_reserve[idx](now, 1.0, retry)
             if cache.access_load(retry.line):
                 retry.l1_hit = True
                 if self.l1_filters is not None:
@@ -701,22 +669,18 @@ class GPUSystem:
         s = req.l2_id
         slice_ = self.l2_slices[s]
         now = self.engine.now
-        fast = self._fast
-        if not fast:
+        if self._ledger is not None:
             self._note(req, f"at L2 slice {s}")
         kind = req.kind
         if kind == _STORE:
-            t = self._l2_reserve[s](now) if fast else self.l2_banks[s].reserve(now, owner=req)
+            t = self._l2_reserve[s](now, 1.0, req)
             slice_.access_store(req.line)
             self._charge_writebacks(s, t)
             self._reply_from_l2(req, t)
         elif kind == _ATOMIC:
             # Read-modify-write at the L2/MC: double bank occupancy, DRAM
             # fill on miss, no MSHR merging (atomics serialize).
-            if fast:
-                t = self._l2_reserve[s](now, 2.0)
-            else:
-                t = self.l2_banks[s].reserve(now, 2.0, owner=req)
+            t = self._l2_reserve[s](now, 2.0, req)
             if slice_.access_load(req.line):
                 req.l2_hit = True
                 self._reply_from_l2(req, t)
@@ -727,7 +691,7 @@ class GPUSystem:
                 self._charge_writebacks(s, t)
                 self._reply_from_l2(req, t2)
         else:  # LOAD or BYPASS fill
-            t = self._l2_reserve[s](now) if fast else self.l2_banks[s].reserve(now, owner=req)
+            t = self._l2_reserve[s](now, 1.0, req)
             if slice_.access_load(req.line):
                 req.l2_hit = True
                 self._reply_from_l2(req, t)
@@ -759,10 +723,7 @@ class GPUSystem:
         mshr = slice_.mshr
         while mshr.has_stalled() and not mshr.full:
             retry = mshr.pop_stalled()
-            if self._fast:
-                t = self._l2_reserve[s](now)
-            else:
-                t = self.l2_banks[s].reserve(now, owner=retry)
+            t = self._l2_reserve[s](now, 1.0, retry)
             if slice_.access_load(retry.line):
                 retry.l2_hit = True
                 self._reply_from_l2(retry, t)
@@ -814,28 +775,12 @@ class GPUSystem:
         now = self.engine.now
         self.outstanding -= 1
         kind = req.kind
-        if self._fast:
-            # Lean path: the request is dead after this handler, so it
-            # goes back on the free list (recycling is safe here and only
-            # here — no ledger holds id(req), and the last event carrying
-            # it as a payload is this one).
-            if kind == _LOAD:
-                self._rtt_sum += now - req.issue_time
-                self._rtt_count += 1
-                wf = req.wavefront
-                wf.outstanding -= 1
-                self._schedule_issue(wf, now)
-            elif kind != _STORE:
-                wf = req.wavefront
-                wf.outstanding -= 1
-                self._schedule_issue(wf, now)
-            req.wavefront = None
-            self._req_pool.append(req)
-            return
-        if self._watchdog is not None:
-            self._watchdog.progress(now)
-        if self._ledger is not None:
-            self._ledger.release("request", id(req))
+        ledger = self._ledger
+        if ledger is not None:
+            # The watchdog implies the ledger (see _attach_watchdog).
+            if self._watchdog is not None:
+                self._watchdog.progress(now)
+            ledger.release("request", id(req))
             self._sanitized_completions += 1
             if self._sanitized_completions % 4096 == 0:
                 self._live_audit()
@@ -846,6 +791,13 @@ class GPUSystem:
             wf = req.wavefront
             wf.outstanding -= 1
             self._schedule_issue(wf, now)
+        if ledger is None:
+            # The request is dead after this handler, so it goes back on
+            # the free list (recycling is safe here and only here — no
+            # ledger holds id(req), and the last event carrying it as a
+            # payload is this one).
+            req.wavefront = None
+            self._req_pool.append(req)
 
     def _live_audit(self) -> None:
         """Continuous (mid-run) audit in sanitize mode: structural checks

@@ -68,17 +68,6 @@ class TestParser:
         assert args.jobs == 3
         assert args.static is False
 
-    def test_heat_args(self):
-        args = build_parser().parse_args(
-            ["heat", "--confirm", "--grid", "P-2MM/Sh40+C10", "--scale", "0.1",
-             "--no-alloc"]
-        )
-        assert args.confirm is True
-        assert args.grid == ["P-2MM/Sh40+C10"]
-        assert args.scale == 0.1
-        assert args.no_alloc is True
-        assert args.static is False
-
     def test_profile_json_and_alloc_flags(self):
         args = build_parser().parse_args(
             ["profile", "--app", "P-2MM", "--json", "--alloc"]

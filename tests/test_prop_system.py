@@ -1,6 +1,6 @@
 """Property-based end-to-end tests: random small workloads through random
 designs must conserve requests, satisfy every audit invariant, and give
-one fingerprint on the fast and the forced-slow wiring."""
+one fingerprint on a plain (pooled) and a sanitized (unpooled) run."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -73,16 +73,16 @@ class TestSystemProperties:
         assert a.l1.misses == b.l1.misses
         assert a.total_flit_hops == b.total_flit_hops
 
-    @given(profiles, designs)
+    @given(profiles, designs, st.sampled_from([None, 1, 4]))
     @settings(max_examples=20, deadline=None)
-    def test_fast_fingerprint_equals_slow(self, profile, spec):
-        """The pooled fast wiring is bit-invisible: stores, atomics and
-        bypasses (non-LOAD requests through the pool), MLP > 1, tiny
-        streams (CTA refills) and imbalance (ragged same-cycle buckets)
-        all give the forced-slow fingerprint."""
-        cfg = SimConfig(gpu=TINY_GPU)
-        fast = GPUSystem(profile, spec, cfg).run()
-        slow_sys = GPUSystem(profile, spec, cfg)
-        slow_sys.force_slow_path()
-        slow = slow_sys.run()
-        assert fast.fingerprint() == slow.fingerprint()
+    def test_plain_fingerprint_equals_sanitized(self, profile, spec, depth):
+        """Request pooling is bit-invisible: stores, atomics and bypasses
+        (non-LOAD requests through the pool), MLP > 1, tiny streams (CTA
+        refills), imbalance (ragged same-cycle buckets) and finite Q1
+        queues (pooled requests parked in _node_waiters) all give the
+        sanitized run's fingerprint."""
+        plain = GPUSystem(profile, spec, SimConfig(gpu=TINY_GPU, dcl1_queue_depth=depth)).run()
+        sanitized = GPUSystem(
+            profile, spec, SimConfig(gpu=TINY_GPU, dcl1_queue_depth=depth, sanitize=True)
+        ).run()
+        assert plain.fingerprint() == sanitized.fingerprint()

@@ -10,8 +10,9 @@ Three layers of protection:
 2. **Cross-instrumentation identity** — one real Figure-8 grid point run
    plain / sanitized / watchdog / shadow-shuffled / profiled must yield
    one fingerprint: instrumentation observes, it never steers.
-3. **Wiring parity** — fast (pooled) wiring, forced-slow wiring and
-   sanitized runs of one config share one fingerprint, for every access
+3. **Plain vs sanitized parity** — a plain run (requests recycled
+   through the free list) and a sanitized run (no pooling, every hold
+   ledger-checked) of one config share one fingerprint, for every access
    kind the issue path dispatches on and across the design shapes.
 """
 
@@ -40,8 +41,8 @@ GOLDEN = {
     ("C-NN", "Pr40", 0.1):
         "3d7420f339d77165d82b1d6bfd1e37a47a83d9921a589796dfa392d6cd8538e4",
     # Decoupled clustered point (exercises clustered homing and the
-    # per-range NoC#2 routes); captured when SimHeat landed, after
-    # force_slow_path() verified fast == slow bit-exactly.
+    # per-range NoC#2 routes); captured after the pooled and unpooled
+    # wirings were verified bit-identical on it.
     ("C-SP", "Sh40+C10", 0.1):
         "1ecc857dbe6d98ba36ad8122f1dce347a78e24c2679ddfc7938688327321a512",
     # The headline point at the calibrated scale (captured on the same
@@ -82,9 +83,10 @@ def _fig08_point(**cfg_kwargs):
 
 
 def test_instrumented_runs_are_bit_identical():
-    """Sanitizer, watchdog and shadow shuffle all take the slow path —
-    different allocation pattern, different schedule wrapper, no request
-    pooling — yet the simulation they observe is the same simulation."""
+    """Sanitizer, watchdog and shadow shuffle all instrument the run —
+    different allocation pattern, different schedule wrapper, and (with
+    the ledger attached) no request pooling — yet the simulation they
+    observe is the same simulation."""
     want = GOLDEN[("T-AlexNet", "Sh40", 0.1)]
     assert fingerprint_hash(_fig08_point()) == want
     assert fingerprint_hash(_fig08_point(sanitize=True)) == want
@@ -122,53 +124,52 @@ def test_observability_fields_are_populated_but_not_identity():
     assert clone.wall_time_s == 0.0
 
 
-# ------------------------------------------------- forced slow-path parity
+# ------------------------------------------------ plain vs sanitized parity
 #
-# GPUSystem.force_slow_path() is SimHeat's differential-confirmer knob:
-# it runs without the request pool and with owner attribution on every
-# bank reservation, without touching SimConfig (so the cache key and
-# fingerprint inputs are untouched).  A sanitized run goes through the
-# same hop code with the ledger checks live.  Fast, forced-slow and sanitized runs must be
-# bit-identical for every access kind the issue path dispatches on.
+# There is one wiring of the request lifecycle.  Attaching the sanitizer
+# ledger only adds owner notes and turns off request pooling, so a plain
+# run (pooled) and a sanitized run (unpooled, every hold checked) must be
+# bit-identical for every access kind the issue path dispatches on.  A
+# pooled request that outlived its completion would diverge here.
 
 
-def _twin_hashes(app, spec, scale=0.05, **cfg_kw):
-    cfg = SimConfig(scale=scale, **cfg_kw)
-    fast = GPUSystem(app, spec, cfg).run()
-    slow_sys = GPUSystem(app, spec, cfg)
-    slow_sys.force_slow_path()
-    slow = slow_sys.run()
+def _plain_and_sanitized_hashes(app, spec, scale=0.05, **cfg_kw):
+    plain = GPUSystem(app, spec, SimConfig(scale=scale, **cfg_kw)).run()
     sanitized = GPUSystem(app, spec, SimConfig(scale=scale, sanitize=True, **cfg_kw)).run()
-    return fingerprint_hash(fast), fingerprint_hash(slow), fingerprint_hash(sanitized)
+    return fingerprint_hash(plain), fingerprint_hash(sanitized)
 
 
-def test_forced_slow_path_parity_store_heavy():
+def test_plain_matches_sanitized_store_heavy():
     # C-SP's store fraction drives the STORE branch of the issue path.
-    fast, slow, sanitized = _twin_hashes(get_app("C-SP"), DesignSpec.shared(40))
-    assert fast == slow == sanitized
+    plain, sanitized = _plain_and_sanitized_hashes(get_app("C-SP"), DesignSpec.shared(40))
+    assert plain == sanitized
 
 
-def test_forced_slow_path_parity_atomic_and_bypass():
+def test_plain_matches_sanitized_atomic_and_bypass():
     import dataclasses
 
     app = dataclasses.replace(
         get_app("P-2MM"), atomic_fraction=0.05, bypass_fraction=0.05
     )
-    fast, slow, sanitized = _twin_hashes(app, DesignSpec.clustered(40, 10))
-    assert fast == slow == sanitized
+    plain, sanitized = _plain_and_sanitized_hashes(app, DesignSpec.clustered(40, 10))
+    assert plain == sanitized
 
 
-def test_forced_slow_path_parity_decoupled_design():
-    fast, slow, sanitized = _twin_hashes(get_app("T-AlexNet"), DesignSpec.cdxbar())
-    assert fast == slow == sanitized
+def test_plain_matches_sanitized_decoupled_design():
+    plain, sanitized = _plain_and_sanitized_hashes(get_app("T-AlexNet"), DesignSpec.cdxbar())
+    assert plain == sanitized
 
 
-def test_force_slow_path_rejected_after_run():
-    sys_ = GPUSystem(get_app("P-2MM"), DesignSpec.shared(40),
-                     SimConfig(scale=0.05))
-    sys_.run()
-    with pytest.raises(RuntimeError):
-        sys_.force_slow_path()
+def test_request_pool_recycles_only_on_plain_runs():
+    """The free list fills on plain runs and stays empty once a ledger is
+    attached (the ledger keys holds and hop traces by id(request))."""
+    app, spec = get_app("P-2MM"), DesignSpec.shared(40)
+    plain = GPUSystem(app, spec, SimConfig(scale=0.05))
+    plain.run()
+    assert plain._req_pool
+    sanitized = GPUSystem(app, spec, SimConfig(scale=0.05, sanitize=True))
+    sanitized.run()
+    assert sanitized._req_pool == []
 
 
 def test_wavefront_materializes_streams_to_plain_ints():
@@ -195,12 +196,7 @@ def test_wavefront_materializes_streams_to_plain_ints():
     assert wf.next_access() is None
 
 
-# ------------------------------------------- fast == forced-slow by shape
-#
-# Every design dispatches each event to its one scalar handler, so the
-# fast and forced-slow wirings differ only in request pooling and owner
-# attribution.  Fast, forced-slow and sanitized runs must produce one
-# fingerprint on each design shape the lifecycle branches on.
+# ------------------------------------------- plain == sanitized by shape
 
 
 @pytest.mark.parametrize(
@@ -214,17 +210,17 @@ def test_wavefront_materializes_streams_to_plain_ints():
         ("T-AlexNet", "Sh40+C10"),   # clustered, load-dominated
     ],
 )
-def test_fast_wiring_matches_forced_slow(app_name, design):
-    fast, slow, sanitized = _twin_hashes(
+def test_plain_run_matches_sanitized(app_name, design):
+    plain, sanitized = _plain_and_sanitized_hashes(
         get_app(app_name), DESIGNS[design], scale=0.1
     )
-    assert fast == slow == sanitized, f"{app_name}/{design}"
+    assert plain == sanitized, f"{app_name}/{design}"
 
 
-def test_fast_wiring_matches_forced_slow_with_q1_credits():
-    # Finite node queues route issue through _enter_node and release Q1
-    # credits at priority -1.
-    fast, slow, sanitized = _twin_hashes(
+def test_plain_run_matches_sanitized_with_q1_credits():
+    # Finite node queues route issue through _enter_node, park pooled
+    # requests in _node_waiters and release Q1 credits at priority -1.
+    plain, sanitized = _plain_and_sanitized_hashes(
         get_app("T-AlexNet"), DESIGNS["Sh40"], scale=0.1, dcl1_queue_depth=4
     )
-    assert fast == slow == sanitized
+    assert plain == sanitized
